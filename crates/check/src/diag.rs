@@ -149,9 +149,9 @@ pub enum Code {
     /// activations the steps produce — an undersized arena (out-of-bounds
     /// writes) or silent overallocation.
     PlanArenaMismatch,
-    /// P004: `cols_item_len` is not the exact least upper bound of the
-    /// im2col scratch the conv steps need.
-    PlanColsMismatch,
+    /// P004: `conv_scratch_len` is not the exact least upper bound of the
+    /// staging scratch the conv steps need.
+    PlanConvScratchMismatch,
     /// P005: a step's baked parameters (weight/bias/channel profiles)
     /// disagree with its geometry — wrong weight length, truncated bias,
     /// or a channel-profile count that does not match the output channels.
@@ -278,7 +278,7 @@ impl Code {
             Code::PlanShapeChainBroken => "P001",
             Code::PlanIllegalInPlace => "P002",
             Code::PlanArenaMismatch => "P003",
-            Code::PlanColsMismatch => "P004",
+            Code::PlanConvScratchMismatch => "P004",
             Code::PlanParamMismatch => "P005",
             Code::PlanBadStepGeometry => "P006",
             Code::PlanRedundantStep => "P007",
@@ -350,7 +350,7 @@ impl Code {
         Code::PlanShapeChainBroken,
         Code::PlanIllegalInPlace,
         Code::PlanArenaMismatch,
-        Code::PlanColsMismatch,
+        Code::PlanConvScratchMismatch,
         Code::PlanParamMismatch,
         Code::PlanBadStepGeometry,
         Code::PlanRedundantStep,
@@ -427,7 +427,7 @@ impl Code {
             Code::PlanShapeChainBroken => "plan step shape chain has a gap",
             Code::PlanIllegalInPlace => "in-place op aliases its buffer illegally",
             Code::PlanArenaMismatch => "`buf_item_len` is not the exact activation LUB",
-            Code::PlanColsMismatch => "`cols_item_len` is not the exact im2col LUB",
+            Code::PlanConvScratchMismatch => "`conv_scratch_len` is not the exact conv scratch LUB",
             Code::PlanParamMismatch => "baked parameters disagree with step geometry",
             Code::PlanBadStepGeometry => "step output shape underivable from input + op",
             Code::PlanRedundantStep => "step is provably dead (can never change its input)",

@@ -15,10 +15,14 @@
 //! * **In-place legality** (`P002`): ReLU/Sigmoid run *in place* on the
 //!   current buffer and Flatten moves no data; each is legal only if it
 //!   provably preserves what it aliases (shape, resp. element count).
-//! * **Arena bounds** (`P003`/`P004`): `buf_item_len` and `cols_item_len`
-//!   must be the *exact* least upper bounds of what the steps touch — an
-//!   undersized arena is an out-of-bounds write at run time, an oversized
-//!   one silently wastes `workers × batch` multiples of memory.
+//! * **Arena bounds** (`P003`/`P004`): `buf_item_len` and
+//!   `conv_scratch_len` must be the *exact* least upper bounds of what the
+//!   steps touch — an undersized arena is an out-of-bounds write at run
+//!   time, an oversized one silently wastes `workers × batch` multiples of
+//!   memory. The conv scratch is re-derived per step from the column-free
+//!   kernel's staging rule: the zero-ringed plane set
+//!   `c·(h+2p)·(w+2p)` for a padded unit-stride conv, nothing for an
+//!   unpadded one, the im2col matrix `c·k²·out_h·out_w` for stride > 1.
 //! * **Parameter agreement** (`P005`): every baked weight/bias length
 //!   must match the step's geometry, so a registry artifact cannot
 //!   smuggle a truncated bias past compile.
@@ -158,7 +162,7 @@ pub enum OpView {
         /// One aggregate per output channel.
         channels: Vec<ChannelProfile>,
     },
-    /// Plain convolution (im2col + GEMM).
+    /// Plain convolution (column-free GEMM; im2col staging for stride > 1).
     Conv {
         /// Square kernel extent.
         k: usize,
@@ -193,7 +197,9 @@ pub enum OpView {
     },
     /// Flatten: shape bookkeeping only, no data movement.
     Flatten,
-    /// Fully connected layer (weight pre-transposed at compile).
+    /// Fully connected layer (weight pre-transposed at compile). Also what
+    /// a convolution whose window covers its whole un-padded input lowers
+    /// to; its output is then `1×out×1×1` instead of `1×1×1×out`.
     Linear {
         /// Input features.
         in_features: usize,
@@ -250,8 +256,8 @@ pub struct PlanView {
     pub output_shape: Shape4,
     /// Declared largest per-item activation buffer (elements).
     pub buf_item_len: usize,
-    /// Declared largest per-item im2col scratch (elements).
-    pub cols_item_len: usize,
+    /// Declared largest conv staging scratch any step needs (elements).
+    pub conv_scratch_len: usize,
     /// The executable steps, in order.
     pub steps: Vec<StepView>,
 }
@@ -276,21 +282,34 @@ fn conv_out_extent(input: usize, k: usize, stride: usize, pad: usize) -> Option<
     Some((padded - k) / stride + 1)
 }
 
-/// The exact least upper bounds (`buf_item_len`, `cols_item_len`) the
+/// Staging elements the column-free conv kernel needs for one step (see
+/// the module docs); `None` on overflow.
+fn conv_scratch(step: &StepView, k: usize, stride: usize, pad: usize) -> Option<usize> {
+    let c = step.in_shape.c;
+    if stride != 1 {
+        let out_len = step.out_shape.h.checked_mul(step.out_shape.w)?;
+        c.checked_mul(k.checked_mul(k)?)?.checked_mul(out_len)
+    } else if pad == 0 {
+        Some(0)
+    } else {
+        let ring = pad.checked_mul(2)?;
+        c.checked_mul(step.in_shape.h.checked_add(ring)?)?
+            .checked_mul(step.in_shape.w.checked_add(ring)?)
+    }
+}
+
+/// The exact least upper bounds (`buf_item_len`, `conv_scratch_len`) the
 /// steps require; `None` when any size product overflows (`P008`).
 pub fn expected_arena(view: &PlanView) -> Option<(usize, usize)> {
     let mut buf = checked_len(view.input_shape)?;
-    let mut cols = 0usize;
+    let mut scratch = 0usize;
     for step in &view.steps {
         buf = buf.max(checked_len(step.out_shape)?);
-        if let OpView::Conv { k, .. } = step.op {
-            let taps = k.checked_mul(k)?;
-            let out_len = step.out_shape.h.checked_mul(step.out_shape.w)?;
-            let need = step.in_shape.c.checked_mul(taps)?.checked_mul(out_len)?;
-            cols = cols.max(need);
+        if let OpView::Conv { k, stride, pad, .. } = step.op {
+            scratch = scratch.max(conv_scratch(step, k, stride, pad)?);
         }
     }
-    Some((buf, cols))
+    Some((buf, scratch))
 }
 
 /// Run the dataflow verifier over a plan view, emitting `P0xx`
@@ -358,7 +377,7 @@ pub fn check_plan(view: &PlanView, reporter: &mut Reporter) {
             None,
             "plan size arithmetic overflows usize; the arena cannot be sized",
         ),
-        Some((buf, cols)) => {
+        Some((buf, scratch)) => {
             if view.buf_item_len != buf {
                 let kind = if view.buf_item_len < buf {
                     "undersized arena (out-of-bounds writes at run time)"
@@ -374,18 +393,19 @@ pub fn check_plan(view: &PlanView, reporter: &mut Reporter) {
                     ),
                 );
             }
-            if view.cols_item_len != cols {
-                let kind = if view.cols_item_len < cols {
-                    "undersized im2col scratch"
+            if view.conv_scratch_len != scratch {
+                let kind = if view.conv_scratch_len < scratch {
+                    "undersized conv scratch"
                 } else {
                     "silent overallocation"
                 };
                 reporter.emit(
-                    Code::PlanColsMismatch,
+                    Code::PlanConvScratchMismatch,
                     None,
                     format!(
-                        "cols_item_len is {} but the exact least upper bound is {cols}: {kind}",
-                        view.cols_item_len
+                        "conv_scratch_len is {} but the exact least upper bound is {scratch}: \
+                         {kind}",
+                        view.conv_scratch_len
                     ),
                 );
             }
@@ -559,7 +579,12 @@ fn check_step(i: usize, step: &StepView, reporter: &mut Reporter) {
                     ),
                 );
             }
-            expect_out(reporter, Some(Shape4::new(1, 1, 1, *out_features)));
+            // a feature vector: flat after Flatten, or one 1×1 plane per
+            // feature when lowered from a full-window convolution
+            let lowered_conv = Shape4::new(1, *out_features, 1, 1);
+            if step.out_shape != lowered_conv {
+                expect_out(reporter, Some(Shape4::new(1, 1, 1, *out_features)));
+            }
             let want_w = in_features.checked_mul(*out_features);
             match want_w {
                 None => reporter.emit(
@@ -747,7 +772,7 @@ mod tests {
             input_shape: Shape4::new(1, 1, 4, 4),
             output_shape: Shape4::new(1, 2, 4, 4),
             buf_item_len: 32,
-            cols_item_len: 9 * 16,
+            conv_scratch_len: 6 * 6,
             steps: vec![
                 StepView {
                     op: OpView::Conv {
@@ -817,11 +842,78 @@ mod tests {
     }
 
     #[test]
-    fn wrong_cols_scratch_is_p004() {
-        let mut v = tiny_view();
-        v.cols_item_len = 0;
-        let r = run(&v);
-        assert!(r.find(Code::PlanColsMismatch).is_some(), "{}", r.pretty());
+    fn conv_scratch_one_short_or_long_is_p004() {
+        for bad in [6 * 6 - 1, 6 * 6 + 1] {
+            let mut v = tiny_view();
+            v.conv_scratch_len = bad;
+            let r = run(&v);
+            assert!(
+                r.find(Code::PlanConvScratchMismatch).is_some(),
+                "{}",
+                r.pretty()
+            );
+        }
+    }
+
+    #[test]
+    fn conv_scratch_follows_the_staging_rule() {
+        // tiny_view with its conv changed to produce 2×2 planes
+        let with_conv = |set: fn(&mut usize, &mut usize), scratch: usize| {
+            let mut v = tiny_view();
+            if let OpView::Conv { stride, pad, .. } = &mut v.steps[0].op {
+                set(stride, pad);
+            }
+            let small = Shape4::new(1, 2, 2, 2);
+            v.steps[0].out_shape = small;
+            v.steps[1].in_shape = small;
+            v.steps[1].out_shape = small;
+            v.output_shape = small;
+            v.buf_item_len = 16;
+            v.conv_scratch_len = scratch;
+            v
+        };
+        // unpadded unit stride reads the item in place: no scratch at all
+        let v = with_conv(|_, pad| *pad = 0, 0);
+        assert!(run(&v).is_clean(), "{}", run(&v).pretty());
+        // stride 2 falls back to im2col: c·k²·out_h·out_w columns
+        let v = with_conv(|stride, _| *stride = 2, 9 * 4);
+        assert!(run(&v).is_clean(), "{}", run(&v).pretty());
+    }
+
+    #[test]
+    fn linear_output_is_flat_or_one_plane_per_feature() {
+        let w = vec![0.1_f32; 16 * 3];
+        let linear = |out_shape| PlanView {
+            precision: Precision::Fp32,
+            input_shape: Shape4::new(1, 1, 4, 4),
+            output_shape: out_shape,
+            buf_item_len: 16,
+            conv_scratch_len: 0,
+            steps: vec![StepView {
+                op: OpView::Linear {
+                    in_features: 16,
+                    out_features: 3,
+                    weight: ParamProfile::of(&w),
+                    bias: ParamProfile::of(&[0.0; 3]),
+                    channels: (0..3)
+                        .map(|_| ChannelProfile::grouped(&w[..16], 16, 0.0))
+                        .collect(),
+                },
+                in_shape: Shape4::new(1, 1, 4, 4),
+                out_shape,
+                round_after: false,
+            }],
+        };
+        for ok in [Shape4::new(1, 1, 1, 3), Shape4::new(1, 3, 1, 1)] {
+            let r = run(&linear(ok));
+            assert!(r.is_clean(), "{}", r.pretty());
+        }
+        let r = run(&linear(Shape4::new(1, 1, 3, 1)));
+        assert!(
+            r.find(Code::PlanBadStepGeometry).is_some(),
+            "{}",
+            r.pretty()
+        );
     }
 
     #[test]
@@ -842,7 +934,7 @@ mod tests {
         v.steps[1].out_shape = Shape4::new(1, 2, 3, 4);
         v.output_shape = Shape4::new(1, 2, 3, 4);
         v.buf_item_len = 24;
-        v.cols_item_len = 9 * 12;
+        v.conv_scratch_len = 6 * 6;
         let r = run(&v);
         assert!(
             r.find(Code::PlanBadStepGeometry).is_some(),

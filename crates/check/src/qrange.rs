@@ -414,7 +414,7 @@ mod tests {
             input_shape: Shape4::new(1, 1, 1, 1),
             output_shape: Shape4::new(1, 1, 1, 1),
             buf_item_len: 1,
-            cols_item_len: 0,
+            conv_scratch_len: 0,
             steps: vec![StepView {
                 op: OpView::Linear {
                     in_features: 1,

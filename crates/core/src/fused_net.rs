@@ -230,16 +230,31 @@ impl FusedNetwork {
                     mlcnn += crate::opcount::mlcnn_layer_counts(&g);
                     dense += crate::opcount::dense_layer_counts(&g);
                 }
-                Op::Conv { weight, geom, .. } => {
+                // unfused conv layers are billed dense on both sides. A
+                // linear step over a square spatial input is one too: a
+                // full-window convolution, which is what compile lowers
+                // such a conv to.
+                Op::Conv { .. } | Op::Linear { .. } => {
+                    let (out_ch, k, stride, pad) = match &step.op {
+                        Op::Conv { geom, .. } => {
+                            (step.out_shape.c, geom.k_h, geom.stride, geom.pad)
+                        }
+                        Op::Linear { out_features, .. }
+                            if step.in_shape.h > 1 && step.in_shape.h == step.in_shape.w =>
+                        {
+                            (*out_features, step.in_shape.h, 1, 0)
+                        }
+                        _ => continue,
+                    };
                     let g = ConvLayerGeom {
                         name: "stage".into(),
                         in_ch: step.in_shape.c,
-                        out_ch: weight.shape().n,
+                        out_ch,
                         in_h: step.in_shape.h,
                         in_w: step.in_shape.w,
-                        k: geom.k_h,
-                        stride: geom.stride,
-                        pad: geom.pad,
+                        k,
+                        stride,
+                        pad,
                         pool: None,
                     };
                     let c = crate::opcount::dense_layer_counts(&g);
@@ -275,9 +290,10 @@ mod tests {
         let (fused, _, _) = compile_lenet();
         assert_eq!(fused.fused_stage_count(), 2);
         let kinds: Vec<&str> = fused.stages().iter().map(FusedStage::kind).collect();
-        // conv1+pool1 fused, conv2+pool2 fused, conv3 regular
-        assert_eq!(kinds.iter().filter(|k| **k == "conv").count(), 1);
-        assert_eq!(kinds.iter().filter(|k| **k == "linear").count(), 2);
+        // conv1+pool1 fused, conv2+pool2 fused; conv3's 5x5 window covers
+        // its whole 5x5 input, so it runs as a third linear stage
+        assert_eq!(kinds.iter().filter(|k| **k == "conv").count(), 0);
+        assert_eq!(kinds.iter().filter(|k| **k == "linear").count(), 3);
     }
 
     #[test]
@@ -342,7 +358,9 @@ mod tests {
         let (mlcnn, dense) = fused.conv_op_counts();
         assert!(mlcnn.mults < dense.mults);
         assert!(mlcnn.adds < dense.adds);
-        // LeNet's two fused layers save 75% of their mults; C3 is dense.
+        // LeNet's two fused layers save 75% of their mults; C3 is dense,
+        // and still billed as a conv although it runs as a linear step
+        assert_eq!(dense.mults, 6 * 75 * 784 + 16 * 150 * 100 + 120 * 400);
         let ratio = mlcnn.mults as f64 / dense.mults as f64;
         assert!(ratio < 0.7, "mult ratio {ratio}");
     }

@@ -2,19 +2,21 @@
 //! kernels, ping-ponging between the workspace's two activation buffers.
 //!
 //! Every op body here calls the *same* kernel the legacy paths call
-//! (`matmul_into`, `im2col_into`, the pool plane kernels,
+//! (`conv2d_into`, the GEMM micro-kernel, the pool plane kernels,
 //! `FusedConvPool::forward_item_into`, the quantizer slice forms), with
-//! the same geometry and the same loop order — bitwise equivalence with
-//! `Network::forward` / `FusedNetwork` / `forward_quantized` holds by
+//! the same geometry and the same summation order — bitwise equivalence
+//! with `Network::forward` / `FusedNetwork` / `forward_quantized` holds by
 //! construction, and the golden suite in `tests/plan_equivalence.rs`
-//! enforces it.
+//! enforces it. Steps never fork: batch-level parallelism lives in
+//! `forward_batch*`, so the conv and linear steps call the serial GEMM
+//! driver whatever `RAYON_NUM_THREADS` says.
 
 use super::{ExecutionPlan, Op, Step, Workspace};
 use crate::fused::FusedScratch;
 use crate::quantized::round_f16_slice;
 use mlcnn_quant::{dorefa, Precision};
-use mlcnn_tensor::im2col::im2col_into;
-use mlcnn_tensor::linalg::matmul_into;
+use mlcnn_tensor::conv::conv2d_into;
+use mlcnn_tensor::linalg::matmul_serial_into;
 use mlcnn_tensor::pool::{avg_pool_plane_into, max_pool_plane_into};
 use mlcnn_tensor::scalar::Scalar;
 use mlcnn_tensor::{Result, Tensor};
@@ -34,9 +36,9 @@ pub(crate) fn run(
     let out_item = plan.output_shape.len();
     debug_assert_eq!(out.len(), batch * out_item);
 
-    // disjoint field borrows: a/b ping-pong, cols + fused are kernel scratch
+    // disjoint field borrows: a/b ping-pong, conv + fused are kernel scratch
     let Workspace {
-        a, b, cols, fused, ..
+        a, b, conv, fused, ..
     } = ws;
     a[..batch * in_item].copy_from_slice(input.as_slice());
     let mut cur_in_a = true;
@@ -66,7 +68,7 @@ pub(crate) fn run(
                 } else {
                     (&b[..in_len], &mut a[..out_len])
                 };
-                exec_op(op, step, batch, src, dst, cols, fused)?;
+                exec_op(op, step, batch, src, dst, conv, fused)?;
                 cur_in_a = !cur_in_a;
             }
         }
@@ -99,7 +101,7 @@ fn exec_op(
     batch: usize,
     src: &[f32],
     dst: &mut [f32],
-    cols: &mut [f32],
+    conv: &mut [f32],
     fused: &mut FusedScratch<f32>,
 ) -> Result<()> {
     let in_item = step.in_shape.len();
@@ -115,27 +117,21 @@ fn exec_op(
                 );
             }
         }
-        Op::Conv { weight, bias, geom } => {
-            let m = step.out_shape.c;
-            let k = step.in_shape.c * geom.taps();
-            let ncols = geom.out_len();
-            let cbuf = &mut cols[..k * ncols];
-            for n in 0..batch {
-                im2col_into(
-                    &src[n * in_item..(n + 1) * in_item],
-                    step.in_shape.c,
-                    geom,
-                    cbuf,
-                );
-                let ditem = &mut dst[n * out_item..(n + 1) * out_item];
-                matmul_into(weight.as_slice(), cbuf, ditem, m, k, ncols);
-                for (ch, bv) in bias.iter().enumerate() {
-                    for v in ditem[ch * ncols..(ch + 1) * ncols].iter_mut() {
-                        *v += *bv;
-                    }
-                }
-            }
-        }
+        Op::Conv {
+            weight,
+            bias,
+            geom,
+            taps,
+        } => conv2d_into(
+            src,
+            step.in_shape.c,
+            geom,
+            weight.as_slice(),
+            Some(bias),
+            taps,
+            conv,
+            dst,
+        ),
         Op::AvgPool(g) => {
             let in_plane = g.in_h * g.in_w;
             let out_plane = g.out_h * g.out_w;
@@ -167,7 +163,7 @@ fn exec_op(
             in_features,
             out_features,
         } => {
-            matmul_into(src, weight_t, dst, batch, *in_features, *out_features);
+            matmul_serial_into(src, weight_t, dst, batch, *in_features, *out_features);
             for bi in 0..batch {
                 for (o, bv) in bias.iter().enumerate() {
                     dst[bi * out_features + o] += *bv;

@@ -22,6 +22,13 @@
 //! the reference kernels. All kernels are the shared `_into` slice variants
 //! from `mlcnn-tensor`, so the plan is bitwise identical to the legacy
 //! `Network` / `FusedNetwork` / `forward_quantized` paths it replaces.
+//!
+//! Plain convolutions run column-free (`mlcnn_tensor::conv::conv2d_into`,
+//! tap offsets resolved here at compile); one whose window covers its whole
+//! un-padded input *is* a fully connected layer over the flattened item and
+//! is lowered to [`Op::Linear`], so the batch shares one GEMM instead of
+//! running `out_ch` dot products per item. Both are the same products
+//! summed in the same order as the layerwise path.
 
 mod exec;
 mod segments;
@@ -36,6 +43,7 @@ use crate::fused::FusedConvPool;
 use crate::quantized::round_tensor_f16;
 use mlcnn_nn::{LayerSpec, Network};
 use mlcnn_quant::{dorefa, Precision};
+use mlcnn_tensor::conv::{conv_scratch_len, conv_tap_offsets};
 use mlcnn_tensor::linalg::transpose;
 use mlcnn_tensor::parallel::par_map_batch;
 use mlcnn_tensor::{ConvGeometry, PoolGeometry, Result, Shape2, Shape4, Tensor, TensorError};
@@ -103,11 +111,13 @@ pub(crate) enum Op {
         kernel: Arc<FusedConvPool<f32>>,
         geom: FusedGeometry,
     },
-    /// Plain convolution (regular mode), executed im2col + GEMM.
+    /// Plain convolution (regular mode), executed column-free; `taps` is
+    /// `conv_tap_offsets` for the step's input channels and `geom`.
     Conv {
         weight: Arc<Tensor<f32>>,
         bias: Arc<Vec<f32>>,
         geom: ConvGeometry,
+        taps: Vec<usize>,
     },
     /// ReLU, in place.
     ReLU,
@@ -120,7 +130,8 @@ pub(crate) enum Op {
     /// Flatten: pure shape bookkeeping, no data movement.
     Flatten,
     /// Fully connected layer with the weight pre-transposed to
-    /// `in × out` so the forward GEMM needs no per-call transpose.
+    /// `in × out` so the forward GEMM needs no per-call transpose. Also
+    /// the lowered form of a full-window convolution.
     Linear {
         weight_t: Arc<Vec<f32>>,
         bias: Arc<Vec<f32>>,
@@ -306,8 +317,9 @@ pub struct ExecutionPlan {
     pub(crate) precision: Precision,
     /// Largest per-item activation buffer any step needs (elements).
     pub(crate) buf_item_len: usize,
-    /// Largest per-item im2col scratch any conv step needs (elements).
-    pub(crate) cols_item_len: usize,
+    /// Largest staging scratch any conv step needs (elements): padded
+    /// planes, or im2col columns for stride > 1. Not scaled by the batch.
+    pub(crate) conv_scratch_len: usize,
 }
 
 impl ExecutionPlan {
@@ -359,6 +371,17 @@ impl ExecutionPlan {
         let mut shape = Shape4::new(1, input.c, input.h, input.w);
         let mut p = 0usize; // parameter cursor
         let mut i = 0usize;
+        // All size products go through checked arithmetic — a hostile
+        // artifact must surface as a P008 compile error, never a
+        // debug-build panic or a release-build wraparound that undersizes
+        // the arena.
+        let overflow = || TensorError::BadGeometry {
+            reason: "error[P008]: plan size arithmetic overflows usize; \
+                     the workspace arena cannot be sized"
+                .into(),
+        };
+        // largest conv staging area: padded planes, or im2col columns
+        let mut scratch_len = 0usize;
 
         let take_pair = |p: &mut usize| -> Result<(Tensor<f32>, Tensor<f32>)> {
             if *p + 2 > params.len() {
@@ -441,13 +464,42 @@ impl ExecutionPlan {
                             i = group_end + 1;
                             continue;
                         }
-                        _ => {
-                            let (weight, bias) = shared_conv(store, precision, w, b)?;
-                            let out = Shape4::new(1, *out_ch, geom.out_h, geom.out_w);
+                        // the window is the whole un-padded input: a fully
+                        // connected layer over the flattened item
+                        _ if *pad == 0 && (*k, *k) == (shape.h, shape.w) => {
+                            let in_features = shape.c * shape.h * shape.w;
+                            let (weight_t, bias) =
+                                shared_linear(store, precision, w, b, in_features, *out_ch)?;
                             push(
                                 &mut steps,
                                 &mut shape,
-                                Op::Conv { weight, bias, geom },
+                                Op::Linear {
+                                    weight_t,
+                                    bias,
+                                    in_features,
+                                    out_features: *out_ch,
+                                },
+                                Shape4::new(1, *out_ch, 1, 1),
+                                i,
+                            );
+                        }
+                        _ => {
+                            let (weight, bias) = shared_conv(store, precision, w, b)?;
+                            let out = Shape4::new(1, *out_ch, geom.out_h, geom.out_w);
+                            // every tap offset lies inside the staging area
+                            // (or the item), so sizing it first bounds them
+                            let need = conv_scratch_len(shape.c, &geom).ok_or_else(overflow)?;
+                            scratch_len = scratch_len.max(need);
+                            let taps = conv_tap_offsets(shape.c, &geom);
+                            push(
+                                &mut steps,
+                                &mut shape,
+                                Op::Conv {
+                                    weight,
+                                    bias,
+                                    geom,
+                                    taps,
+                                },
                                 out,
                                 i,
                             );
@@ -548,29 +600,11 @@ impl ExecutionPlan {
         steps.shrink_to_fit();
 
         // Arena sizing: the ping-pong buffers must hold the largest
-        // per-item activation, the cols scratch the largest im2col matrix.
-        // All products go through checked arithmetic — a hostile artifact
-        // must surface as a P008 compile error, never a debug-build panic
-        // or a release-build wraparound that undersizes the arena.
-        let overflow = || TensorError::BadGeometry {
-            reason: "error[P008]: plan size arithmetic overflows usize; \
-                     the workspace arena cannot be sized"
-                .into(),
-        };
+        // per-item activation.
         let checked_len = |s: Shape4| -> Result<usize> { s.checked_len().ok_or_else(overflow) };
         let mut buf_item_len = checked_len(Shape4::new(1, input.c, input.h, input.w))?;
-        let mut cols_item_len = 0usize;
         for s in &steps {
             buf_item_len = buf_item_len.max(checked_len(s.out_shape)?);
-            if let Op::Conv { geom, .. } = &s.op {
-                let need = s
-                    .in_shape
-                    .c
-                    .checked_mul(geom.taps())
-                    .and_then(|x| x.checked_mul(geom.out_len()))
-                    .ok_or_else(overflow)?;
-                cols_item_len = cols_item_len.max(need);
-            }
         }
 
         let plan = ExecutionPlan {
@@ -579,7 +613,7 @@ impl ExecutionPlan {
             output_shape: shape,
             precision,
             buf_item_len,
-            cols_item_len,
+            conv_scratch_len: scratch_len,
         };
         // The compiler checking its own output: every debug build re-runs
         // the P0xx dataflow verifier over the freshly lowered plan, so a
@@ -629,13 +663,13 @@ impl ExecutionPlan {
 
     /// Workspace arena footprint in bytes for a forward at `batch` items:
     /// the two ping-pong activation buffers scale with the batch, the
-    /// im2col scratch does not. Used by the serving-config lints to sanity
+    /// conv scratch does not. Used by the serving-config lints to sanity
     /// check `workers × max_batch` memory before spawning anything.
     pub fn arena_bytes(&self, batch: usize) -> usize {
         let elems = 2usize
             .saturating_mul(self.buf_item_len)
             .saturating_mul(batch.max(1))
-            .saturating_add(self.cols_item_len);
+            .saturating_add(self.conv_scratch_len);
         elems.saturating_mul(std::mem::size_of::<f32>())
     }
 

@@ -79,7 +79,7 @@ pub(crate) struct Fingerprint {
 /// One baked, shareable parameter block.
 #[derive(Debug, Clone)]
 pub(crate) enum Segment {
-    /// im2col+GEMM conv: quantized weight and bias.
+    /// Plain conv: quantized weight and bias.
     Conv {
         weight: Arc<Tensor<f32>>,
         bias: Arc<Vec<f32>>,

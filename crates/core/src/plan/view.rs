@@ -79,7 +79,9 @@ impl ExecutionPlan {
                             kernel.weight().shape().c,
                         ),
                     },
-                    Op::Conv { weight, bias, geom } => OpView::Conv {
+                    Op::Conv {
+                        weight, bias, geom, ..
+                    } => OpView::Conv {
                         k: geom.k_h,
                         stride: geom.stride,
                         pad: geom.pad,
@@ -129,7 +131,7 @@ impl ExecutionPlan {
             input_shape: self.input_shape,
             output_shape: self.output_shape,
             buf_item_len: self.buf_item_len,
-            cols_item_len: self.cols_item_len,
+            conv_scratch_len: self.conv_scratch_len,
             steps,
         }
     }

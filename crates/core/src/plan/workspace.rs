@@ -10,8 +10,9 @@ use std::sync::Mutex;
 /// Reusable execution arena for [`ExecutionPlan::forward`].
 ///
 /// Holds two ping-pong activation buffers (each large enough for the
-/// biggest intermediate at the workspace's batch size), one im2col scratch
-/// matrix, and the fused-operator scratch planes. All buffers grow on
+/// biggest intermediate at the workspace's batch size), one conv staging
+/// scratch (zero-ringed input planes; im2col columns for stride > 1), and
+/// the fused-operator scratch planes. All buffers grow on
 /// demand and never shrink, so after the first forward at a given batch
 /// size every subsequent forward is allocation-free.
 ///
@@ -22,7 +23,7 @@ use std::sync::Mutex;
 pub struct Workspace {
     pub(crate) a: Vec<f32>,
     pub(crate) b: Vec<f32>,
-    pub(crate) cols: Vec<f32>,
+    pub(crate) conv: Vec<f32>,
     pub(crate) fused: FusedScratch<f32>,
     batch: usize,
 }
@@ -51,8 +52,8 @@ impl Workspace {
         if self.b.len() < need {
             self.b.resize(need, 0.0);
         }
-        if self.cols.len() < plan.cols_item_len {
-            self.cols.resize(plan.cols_item_len, 0.0);
+        if self.conv.len() < plan.conv_scratch_len {
+            self.conv.resize(plan.conv_scratch_len, 0.0);
         }
         for step in &plan.steps {
             if let Op::Fused { geom, .. } = &step.op {
@@ -67,11 +68,11 @@ impl Workspace {
         self.batch
     }
 
-    /// Total f32 capacity of the activation and im2col buffers — stable
+    /// Total f32 capacity of the activation and conv scratch buffers — stable
     /// across repeated forwards at the same batch size, which is what the
     /// zero-steady-state-allocation tests assert on.
     pub fn buffer_capacity(&self) -> usize {
-        self.a.capacity() + self.b.capacity() + self.cols.capacity()
+        self.a.capacity() + self.b.capacity() + self.conv.capacity()
     }
 }
 

@@ -1,6 +1,7 @@
 //! Trainable 2-D convolution.
 //!
-//! Forward runs im2col + GEMM; backward uses the textbook identities
+//! Forward runs the column-free kernel (`mlcnn_tensor::conv::conv2d_into`,
+//! the same one the execution plan calls); backward uses the textbook identities
 //! `dW = dY · cols(x)ᵀ`, `db = Σ dY`, `dx = col2im(Wᵀ · dY)`. Batch items
 //! are processed in parallel with rayon and the per-item parameter
 //! gradients reduced afterwards, so the backward pass is deterministic and

@@ -376,7 +376,7 @@ mod tests {
             input_shape: steps[0].in_shape,
             output_shape: steps[steps.len() - 1].out_shape,
             buf_item_len: 0,
-            cols_item_len: 0,
+            conv_scratch_len: 0,
             steps,
         }
     }

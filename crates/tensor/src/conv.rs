@@ -3,17 +3,31 @@
 //! Two implementations of the same contract:
 //!
 //! * [`conv2d_direct`] — the obviously-correct seven-loop reference. Every
-//!   other convolution in the repo (im2col, the MLCNN fused conv-pool, the
-//!   quantized kernels, the accelerator functional model) is tested against
-//!   it.
-//! * [`conv2d_im2col`] — im2col + GEMM, the fast path used for training.
+//!   other convolution in the repo (the column-free kernel below, the MLCNN
+//!   fused conv-pool, the quantized kernels, the accelerator functional
+//!   model) is tested against it.
+//! * [`conv2d_into`] — the one forward implementation: a GEMM over
+//!   [`gemm_windows`] whose right-hand matrix is never built. For unit
+//!   stride the item is copied once into a zero-ringed plane set
+//!   (`c × (h+2p) × (w+2p)`); in *padded-width* output coordinates
+//!   `j = oh·(w+2p) + ow`, row `(c, kh, kw)` of the virtual column matrix is
+//!   then the contiguous window starting at `(c·(h+2p) + kh)·(w+2p) + kw`,
+//!   and the `k_w − 1` columns per output row that straddle two image rows
+//!   are dropped when tiles are written out (bias added in the same
+//!   write). Stride > 1 falls back to [`im2col_into`] feeding the same
+//!   kernel. [`conv2d_im2col`] (the name predates the column-free kernel)
+//!   is the batch-parallel tensor wrapper the trainable conv layer calls.
+//!
+//! Every output element is accumulated over `(c, kh, kw)` in ascending
+//! order with padding taps contributing `a·0`, exactly like im2col followed
+//! by the scalar GEMM loop, so the two are bitwise identical.
 //!
 //! Weights are `M × N × K × K` (out-channels × in-channels × kernel), inputs
 //! `B × N × H × W`, matching the paper's Figure 1 notation.
 
 use crate::error::TensorError;
-use crate::im2col::im2col;
-use crate::linalg::matmul;
+use crate::im2col::im2col_into;
+use crate::linalg::gemm_windows;
 use crate::scalar::Scalar;
 use crate::shape::{ConvGeometry, Shape4};
 use crate::tensor::Tensor;
@@ -102,8 +116,151 @@ pub fn conv2d_direct<T: Scalar>(
     Ok(out)
 }
 
-/// im2col + GEMM convolution; batch items are processed in parallel with
-/// rayon. Semantics identical to [`conv2d_direct`].
+/// Scratch elements [`conv2d_into`] needs for `channels` input planes of
+/// `geom`: the zero-ringed plane set for a padded unit-stride convolution,
+/// nothing for an unpadded one (it reads the item in place), the im2col
+/// matrix for stride > 1. `None` when the size leaves `usize`.
+pub fn conv_scratch_len(channels: usize, geom: &ConvGeometry) -> Option<usize> {
+    if geom.stride != 1 {
+        channels
+            .checked_mul(geom.taps())?
+            .checked_mul(geom.out_len())
+    } else if geom.pad == 0 {
+        Some(0)
+    } else {
+        let ring = geom.pad.checked_mul(2)?;
+        channels
+            .checked_mul(geom.in_h.checked_add(ring)?)?
+            .checked_mul(geom.in_w.checked_add(ring)?)
+    }
+}
+
+/// Where each row `(c, kh, kw)` of the virtual column matrix starts in the
+/// buffer [`conv2d_into`] multiplies against: a window of the (padded)
+/// plane set for unit stride, a row of the im2col matrix otherwise. Depends
+/// on the geometry only, so the execution plan computes it once at compile.
+pub fn conv_tap_offsets(channels: usize, geom: &ConvGeometry) -> Vec<usize> {
+    let rows = 0..channels * geom.taps();
+    if geom.stride != 1 {
+        return rows.map(|p| p * geom.out_len()).collect();
+    }
+    let (ph, pw) = (geom.in_h + 2 * geom.pad, geom.in_w + 2 * geom.pad);
+    rows.map(|p| {
+        let (c, tap) = (p / geom.taps(), p % geom.taps());
+        (c * ph + tap / geom.k_w) * pw + tap % geom.k_w
+    })
+    .collect()
+}
+
+/// Column-free convolution of every `channels × in_h × in_w` item in `src`
+/// with `weight` (`out_ch × channels·k_h·k_w`, row-major), writing
+/// `out_ch × out_h × out_w` per item into `dst` (overwritten). `taps` is
+/// [`conv_tap_offsets`] and `scratch` holds at least [`conv_scratch_len`]
+/// elements for the same `(channels, geom)`; stale scratch contents are
+/// fine. See the [module docs](self) for the indexing and why the result is
+/// bit-identical to im2col + scalar GEMM.
+#[allow(clippy::too_many_arguments)]
+pub fn conv2d_into<T: Scalar>(
+    src: &[T],
+    channels: usize,
+    geom: &ConvGeometry,
+    weight: &[T],
+    bias: Option<&[T]>,
+    taps: &[usize],
+    scratch: &mut [T],
+    dst: &mut [T],
+) {
+    let k = channels * geom.taps();
+    let out_len = geom.out_len();
+    let in_item = channels * geom.in_h * geom.in_w;
+    assert!(in_item > 0, "empty input item");
+    assert_eq!(taps.len(), k, "tap table/geom mismatch");
+    assert!(
+        weight.len().is_multiple_of(k),
+        "weight buffer/geom mismatch"
+    );
+    let m = weight.len() / k;
+    assert!(bias.is_none_or(|b| b.len() == m), "bias/weight mismatch");
+    let batch = src.len() / in_item;
+    assert_eq!(src.len(), batch * in_item, "input buffer/geom mismatch");
+    assert_eq!(
+        dst.len(),
+        batch * m * out_len,
+        "output buffer/geom mismatch"
+    );
+
+    let unit = geom.stride == 1;
+    let (ph, pw) = (geom.in_h + 2 * geom.pad, geom.in_w + 2 * geom.pad);
+    // the im2col matrix, the zero-ringed planes, or (unpadded) nothing
+    let staged_len = conv_scratch_len(channels, geom).expect("caller sized the scratch");
+    let staged = &mut scratch[..staged_len];
+    // GEMM width and the pitch of one output row inside it: padded-width
+    // coordinates for unit stride, the plain output otherwise
+    let (n, pitch) = if unit {
+        ((geom.out_h - 1) * pw + geom.out_w, pw)
+    } else {
+        (out_len, geom.out_w)
+    };
+    if unit {
+        staged.fill(T::zero()); // the ring; items only overwrite interiors
+    }
+
+    for (item, out) in src
+        .chunks_exact(in_item)
+        .zip(dst.chunks_exact_mut((m * out_len).max(1)))
+    {
+        let b: &[T] = if !unit {
+            im2col_into(item, channels, geom, staged);
+            staged
+        } else if geom.pad == 0 {
+            item
+        } else {
+            let planes = item.chunks_exact(geom.in_h * geom.in_w);
+            for (plane, padded) in planes.zip(staged.chunks_exact_mut(ph * pw)) {
+                let rows = padded.chunks_exact_mut(pw).skip(geom.pad);
+                for (row, prow) in plane.chunks_exact(geom.in_w).zip(rows) {
+                    prow[geom.pad..geom.pad + geom.in_w].copy_from_slice(row);
+                }
+            }
+            staged
+        };
+        gemm_windows(
+            weight,
+            m,
+            k,
+            b,
+            |p| taps[p],
+            n,
+            |ch, j0, mut vals| {
+                // vals covers columns j0.. of the GEMM; keep the first
+                // out_w of every pitch-wide row
+                let plane = &mut out[ch * out_len..(ch + 1) * out_len];
+                let (mut oh, mut ow) = (j0 / pitch, j0 % pitch);
+                while !vals.is_empty() {
+                    let take = (pitch - ow).min(vals.len());
+                    let keep = geom.out_w.saturating_sub(ow).min(take);
+                    if keep > 0 {
+                        let run = &mut plane[oh * geom.out_w + ow..][..keep];
+                        match bias {
+                            Some(bias) => {
+                                for (d, &v) in run.iter_mut().zip(vals) {
+                                    *d = v + bias[ch];
+                                }
+                            }
+                            None => run.copy_from_slice(&vals[..keep]),
+                        }
+                    }
+                    vals = &vals[take..];
+                    (oh, ow) = (oh + 1, 0);
+                }
+            },
+        );
+    }
+}
+
+/// Batched convolution over tensors through [`conv2d_into`]; the batch is
+/// split into one contiguous run of items per rayon worker, each with its
+/// own scratch. Semantics identical to [`conv2d_direct`].
 pub fn conv2d_im2col<T: Scalar>(
     input: &Tensor<T>,
     weight: &Tensor<T>,
@@ -121,32 +278,39 @@ pub fn conv2d_im2col<T: Scalar>(
             });
         }
     }
-    let m = wshape.n;
-    let k = wshape.c * geom.taps();
-    let ncols = geom.out_len();
-    let wmat = weight.as_slice(); // already M × (N*K*K) row-major
-
-    let per_item: Vec<Vec<T>> = (0..ishape.n)
-        .into_par_iter()
-        .map(|n| {
-            let cols = im2col(input, n, &geom);
-            let mut prod = matmul(wmat, &cols, m, k, ncols);
-            if let Some(b) = bias {
-                for (mi, bm) in b.iter().enumerate() {
-                    for v in &mut prod[mi * ncols..(mi + 1) * ncols] {
-                        *v += *bm;
-                    }
-                }
-            }
-            prod
-        })
-        .collect();
-
-    let mut data = Vec::with_capacity(ishape.n * m * ncols);
-    for item in per_item {
-        data.extend_from_slice(&item);
+    let in_item = ishape.c * ishape.h * ishape.w;
+    if in_item == 0 {
+        return Err(TensorError::BadGeometry {
+            reason: format!("convolution over an empty input item {ishape}"),
+        });
     }
-    Tensor::from_vec(Shape4::new(ishape.n, m, geom.out_h, geom.out_w), data)
+    let scratch_len =
+        conv_scratch_len(ishape.c, &geom).ok_or_else(|| TensorError::BadGeometry {
+            reason: "convolution scratch size overflows usize".into(),
+        })?;
+    let taps = conv_tap_offsets(ishape.c, &geom);
+    let out_item = wshape.n * geom.out_len();
+    let mut out = Tensor::zeros(Shape4::new(ishape.n, wshape.n, geom.out_h, geom.out_w));
+    let per_worker = ishape.n.div_ceil(rayon::current_num_threads()).max(1);
+    out.as_mut_slice()
+        .par_chunks_mut((per_worker * out_item).max(1))
+        .enumerate()
+        .for_each(|(w, dst)| {
+            let first = w * per_worker * in_item;
+            let src = &input.as_slice()[first..first + dst.len() / out_item * in_item];
+            let mut scratch = vec![T::zero(); scratch_len];
+            conv2d_into(
+                src,
+                ishape.c,
+                &geom,
+                weight.as_slice(), // already M × (N*K*K) row-major
+                bias,
+                &taps,
+                &mut scratch,
+                dst,
+            );
+        });
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -228,6 +392,92 @@ mod tests {
                 a.max_abs_diff(&bt).unwrap()
             );
         }
+    }
+
+    /// im2col followed by the scalar ikj GEMM and a bias pass — the forward
+    /// path `conv2d_into` replaced, kept as its bitwise oracle.
+    fn conv_via_columns(
+        item: &[f32],
+        channels: usize,
+        geom: &ConvGeometry,
+        weight: &[f32],
+        bias: &[f32],
+    ) -> Vec<f32> {
+        let (k, n) = (channels * geom.taps(), geom.out_len());
+        let mut cols = vec![0.0_f32; k * n];
+        im2col_into(item, channels, geom, &mut cols);
+        let mut out = vec![0.0_f32; bias.len() * n];
+        for (i, row) in out.chunks_exact_mut(n).enumerate() {
+            for p in 0..k {
+                for (o, &c) in row.iter_mut().zip(&cols[p * n..(p + 1) * n]) {
+                    *o += weight[i * k + p] * c;
+                }
+            }
+            for o in row.iter_mut() {
+                *o += bias[i];
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn column_free_kernel_is_bitwise_im2col_gemm() {
+        let mut rng = init::rng(7);
+        // (cin, cout, h, w, k, stride, pad): unpadded in place, padded
+        // ring, wide ring, strided fallback, 1x1, full window, ragged tiles
+        for &(cin, cout, h, w, k, s, p) in &[
+            (1usize, 1usize, 5usize, 5usize, 2usize, 1usize, 0usize),
+            (3, 4, 6, 9, 3, 1, 1),
+            (2, 5, 7, 4, 5, 1, 2),
+            (2, 3, 9, 8, 3, 2, 1),
+            (4, 7, 5, 6, 1, 1, 0),
+            (3, 2, 4, 4, 4, 1, 0),
+            (1, 13, 3, 21, 3, 1, 1),
+            (2, 2, 8, 8, 2, 3, 0),
+        ] {
+            let geom = ConvGeometry::new(h, w, k, k, s, p).unwrap();
+            let input = init::uniform(Shape4::new(2, cin, h, w), -1.0, 1.0, &mut rng);
+            let weight = init::uniform(Shape4::new(cout, cin, k, k), -1.0, 1.0, &mut rng);
+            let bias: Vec<f32> = (0..cout).map(|i| i as f32 * 0.3 - 0.7).collect();
+            let taps = conv_tap_offsets(cin, &geom);
+            // stale scratch: the ring must be rewritten, not assumed zero
+            let mut scratch = vec![f32::NAN; conv_scratch_len(cin, &geom).unwrap()];
+            let mut got = vec![f32::NAN; 2 * cout * geom.out_len()];
+            conv2d_into(
+                input.as_slice(),
+                cin,
+                &geom,
+                weight.as_slice(),
+                Some(&bias),
+                &taps,
+                &mut scratch,
+                &mut got,
+            );
+            let want: Vec<f32> = input
+                .as_slice()
+                .chunks_exact(cin * h * w)
+                .flat_map(|item| conv_via_columns(item, cin, &geom, weight.as_slice(), &bias))
+                .collect();
+            let bits = |xs: &[f32]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&got),
+                bits(&want),
+                "cin={cin} cout={cout} {h}x{w} k={k} s={s} p={p}"
+            );
+        }
+    }
+
+    #[test]
+    fn scratch_is_the_padded_planes_or_the_columns() {
+        let g = |s, p| ConvGeometry::new(6, 8, 3, 3, s, p).unwrap();
+        assert_eq!(conv_scratch_len(4, &g(1, 0)), Some(0));
+        assert_eq!(conv_scratch_len(4, &g(1, 1)), Some(4 * 8 * 10));
+        let strided = g(2, 1);
+        assert_eq!(
+            conv_scratch_len(4, &strided),
+            Some(4 * 9 * strided.out_len())
+        );
+        assert_eq!(conv_scratch_len(usize::MAX, &g(1, 1)), None);
     }
 
     #[test]

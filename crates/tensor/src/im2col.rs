@@ -3,13 +3,15 @@
 //! `im2col` unrolls the sliding convolution windows of an input feature map
 //! into the columns of a matrix so that convolution becomes a single GEMM —
 //! the classic lowering used by the DCNN baseline accelerator's software
-//! model and by the fast training path in `mlcnn-nn`. `col2im` is its
-//! scatter-add adjoint, needed for the convolution backward pass.
+//! model. The forward convolution no longer materializes that matrix for
+//! unit stride (see [`crate::conv::conv2d_into`]); what still does is the
+//! convolution backward pass in `mlcnn-nn` (`dW = dY · colsᵀ`) and the
+//! forward fallback for stride > 1. `col2im` is the scatter-add adjoint,
+//! needed for the input gradient.
 
 use crate::scalar::Scalar;
 use crate::shape::ConvGeometry;
 use crate::tensor::Tensor;
-use rayon::prelude::*;
 
 /// Unroll one batch item into a `(c*k_h*k_w) × (out_h*out_w)` row-major
 /// matrix. Input positions that fall in the zero-padding contribute zeros.
@@ -22,10 +24,20 @@ pub fn im2col<T: Scalar>(input: &Tensor<T>, n: usize, geom: &ConvGeometry) -> Ve
     out
 }
 
+/// Output positions `lo..hi` along one axis whose tap `k` lands inside the
+/// un-padded input extent: `0 <= o·stride + k − pad < input`.
+fn valid_span(input: usize, out: usize, k: usize, stride: usize, pad: usize) -> (usize, usize) {
+    let lo = pad.saturating_sub(k).div_ceil(stride).min(out);
+    let hi = (input + pad).saturating_sub(k).div_ceil(stride).min(out);
+    (lo, hi.max(lo))
+}
+
 /// Allocation-free [`im2col`] over a raw `channels × in_h × in_w` item
 /// slice; every position of `out` is written (padding taps become zeros),
-/// so the buffer may be reused without clearing. The per-channel row blocks
-/// of the output matrix are disjoint, so channels unroll in parallel.
+/// so the buffer may be reused without clearing. Each matrix row is built
+/// one output row at a time: the pad edges are filled and the span between
+/// them copied (or gathered, for stride > 1), with no per-element bounds
+/// branch. Runs on the calling thread — callers parallelize over items.
 pub fn im2col_into<T: Scalar>(item: &[T], channels: usize, geom: &ConvGeometry, out: &mut [T]) {
     let cols = geom.out_len();
     let plane_len = geom.in_h * geom.in_w;
@@ -39,35 +51,34 @@ pub fn im2col_into<T: Scalar>(item: &[T], channels: usize, geom: &ConvGeometry, 
         channels * geom.taps() * cols,
         "col matrix size mismatch"
     );
-    let pad = geom.pad as isize;
-    out.par_chunks_mut((geom.taps() * cols).max(1))
-        .enumerate()
-        .for_each(|(c, block)| {
-            let plane = &item[c * plane_len..(c + 1) * plane_len];
-            for kh in 0..geom.k_h {
-                for kw in 0..geom.k_w {
-                    let row = kh * geom.k_w + kw;
-                    let dst = &mut block[row * cols..(row + 1) * cols];
-                    let mut col = 0;
-                    for oh in 0..geom.out_h {
-                        let ih = (oh * geom.stride + kh) as isize - pad;
-                        for ow in 0..geom.out_w {
-                            let iw = (ow * geom.stride + kw) as isize - pad;
-                            dst[col] = if ih >= 0
-                                && iw >= 0
-                                && (ih as usize) < geom.in_h
-                                && (iw as usize) < geom.in_w
-                            {
-                                plane[ih as usize * geom.in_w + iw as usize]
-                            } else {
-                                T::zero()
-                            };
-                            col += 1;
-                        }
-                    }
+    for (r, dst) in out.chunks_exact_mut(cols.max(1)).enumerate() {
+        let (c, tap) = (r / geom.taps(), r % geom.taps());
+        let (kh, kw) = (tap / geom.k_w, tap % geom.k_w);
+        let plane = &item[c * plane_len..(c + 1) * plane_len];
+        let (oh_lo, oh_hi) = valid_span(geom.in_h, geom.out_h, kh, geom.stride, geom.pad);
+        let (ow_lo, ow_hi) = valid_span(geom.in_w, geom.out_w, kw, geom.stride, geom.pad);
+        for (oh, drow) in dst.chunks_exact_mut(geom.out_w).enumerate() {
+            if oh < oh_lo || oh >= oh_hi || ow_lo == ow_hi {
+                drow.fill(T::zero());
+                continue;
+            }
+            let ih = oh * geom.stride + kh - geom.pad;
+            let first = ih * geom.in_w + ow_lo * geom.stride + kw - geom.pad;
+            drow[..ow_lo].fill(T::zero());
+            drow[ow_hi..].fill(T::zero());
+            let span = &mut drow[ow_lo..ow_hi];
+            if geom.stride == 1 {
+                span.copy_from_slice(&plane[first..first + span.len()]);
+            } else {
+                for (d, &v) in span
+                    .iter_mut()
+                    .zip(plane[first..].iter().step_by(geom.stride))
+                {
+                    *d = v;
                 }
             }
-        });
+        }
+    }
 }
 
 /// Scatter-add adjoint of [`im2col`]: fold a `(c*k_h*k_w) × (out_h*out_w)`
@@ -173,6 +184,42 @@ mod tests {
         let mut dirty = vec![7.5_f32; fresh.len()];
         im2col_into(t.as_slice(), 1, &g, &mut dirty);
         assert_eq!(fresh, dirty);
+    }
+
+    #[test]
+    fn im2col_into_matches_the_per_element_definition() {
+        // edge fills + span copies against the obvious bounds-checked gather,
+        // including rings wider than the kernel and strided spans
+        for &(h, w, kh, kw, s, p) in &[
+            (5usize, 7usize, 3usize, 3usize, 1usize, 1usize),
+            (4, 4, 2, 3, 1, 2),
+            (1, 2, 3, 3, 1, 2),
+            (7, 6, 3, 3, 2, 1),
+            (9, 5, 3, 2, 3, 2),
+            (6, 6, 5, 5, 1, 0),
+        ] {
+            let g = ConvGeometry::new(h, w, kh, kw, s, p).unwrap();
+            let t = Tensor::from_fn(Shape4::new(1, 2, h, w), |_, c, r, q| {
+                (c * 100 + r * w + q) as f32 + 1.0
+            });
+            let got = im2col(&t, 0, &g);
+            let mut want = Vec::with_capacity(got.len());
+            for c in 0..2 {
+                for tap in 0..g.taps() {
+                    for o in 0..g.out_len() {
+                        let ih = (o / g.out_w * s + tap / kw) as isize - p as isize;
+                        let iw = (o % g.out_w * s + tap % kw) as isize - p as isize;
+                        let inside = ih >= 0 && iw >= 0 && ih < h as isize && iw < w as isize;
+                        want.push(if inside {
+                            t.at(0, c, ih as usize, iw as usize)
+                        } else {
+                            0.0
+                        });
+                    }
+                }
+            }
+            assert_eq!(got, want, "{h}x{w} k={kh}x{kw} s={s} p={p}");
+        }
     }
 
     #[test]

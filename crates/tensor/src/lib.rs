@@ -8,9 +8,9 @@
 //! the fused conv-pool operator with RME/LAR/GAR reuse, the quantizers and
 //! the accelerator model — is validated against the *reference kernels*
 //! defined here. The reference kernels are deliberately written as plain,
-//! obviously-correct loop nests; performance-oriented variants (im2col +
-//! GEMM, rayon-parallel batching) live alongside them and are property-tested
-//! for equality.
+//! obviously-correct loop nests; performance-oriented variants (the
+//! register-tiled GEMM, the column-free convolution over it, rayon-parallel
+//! batching) live alongside them and are property-tested for equality.
 //!
 //! ## Layout
 //!
@@ -23,9 +23,9 @@
 //! * [`tensor`] — the dense [`Tensor`](tensor::Tensor) container.
 //! * [`init`] — deterministic random initializers (uniform, Kaiming-style
 //!   fan-in scaling) built on a seeded PRNG.
-//! * [`linalg`] — the GEMM used by the im2col convolution path.
-//! * [`im2col`] — im2col/col2im lowering.
-//! * [`conv`] — direct and im2col convolution kernels.
+//! * [`linalg`] — the one GEMM micro-kernel behind every matrix product.
+//! * [`im2col`] — im2col/col2im lowering (conv backward, strided fallback).
+//! * [`conv`] — the direct reference and the column-free forward kernel.
 //! * [`pool`] — average and max pooling (with argmax capture for backprop).
 //! * [`activation`] — elementwise nonlinearities.
 //! * [`parallel`] — rayon helpers for batch-parallel kernels.

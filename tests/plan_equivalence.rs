@@ -3,15 +3,22 @@
 //! the layerwise `Network`, the `FusedNetwork` pipeline, and the
 //! quantized layerwise loop — across the compilable model zoo, plus a
 //! proptest that anything `mlcnn-check` accepts compiles to a plan that
-//! agrees with the trainable network.
+//! agrees with the trainable network. The kernel pins underneath live here
+//! too, where the tier-1 command sees them: the column-free convolution and
+//! the tiled GEMM against the scalar loops they replaced, bit for bit.
 
+use mlcnn::check::OpView;
 use mlcnn::core::quantized::{forward_quantized, quantize_network_weights};
 use mlcnn::core::reorder::reorder_activation_pool;
 use mlcnn::core::{EvalPlan, ExecutionPlan, FusedNetwork, PlanOptions, Workspace, WorkspacePool};
 use mlcnn::nn::spec::build_network;
 use mlcnn::nn::{zoo, LayerSpec};
 use mlcnn::quant::Precision;
-use mlcnn::tensor::{init, Shape4, Tensor};
+use mlcnn::serve::find_model;
+use mlcnn::tensor::conv::{conv2d_direct, conv2d_into, conv_scratch_len, conv_tap_offsets};
+use mlcnn::tensor::im2col::im2col_into;
+use mlcnn::tensor::linalg::matmul_into;
+use mlcnn::tensor::{init, ConvGeometry, Shape4, Tensor};
 use proptest::prelude::*;
 
 /// Every sequential (plan-compilable) model the zoo offers, in both the
@@ -239,6 +246,186 @@ fn forward_each_is_bitwise_per_item_at_every_precision() {
                 "forward_each item {i} diverges at {precision}"
             );
         }
+    }
+}
+
+#[test]
+fn one_workspace_serves_plans_of_different_geometry_and_batch() {
+    // the conv scratch holds a zero ring for one plan, im2col columns for
+    // the next, and a smaller ring after that: every forward must rewrite
+    // what it relies on, so a shared workspace gives a fresh one's bits
+    let strided = vec![
+        LayerSpec::Conv {
+            out_ch: 5,
+            k: 3,
+            stride: 2,
+            pad: 1,
+        },
+        LayerSpec::ReLU,
+        LayerSpec::Conv {
+            out_ch: 4,
+            k: 3,
+            stride: 1,
+            pad: 2,
+        },
+        LayerSpec::Flatten,
+        LayerSpec::Linear { out: 7 },
+    ];
+    let mut models = compilable_zoo();
+    models.push(("strided", strided, Shape4::new(1, 2, 13, 9)));
+    let plans: Vec<_> = models
+        .iter()
+        .map(|(_, specs, input)| {
+            let mut net = build_network(specs, *input, 73).unwrap();
+            (net.eval_plan(PlanOptions::layerwise()).unwrap(), *input)
+        })
+        .collect();
+    let mut shared = Workspace::new();
+    for (round, batch) in [3usize, 1, 4, 2].into_iter().enumerate() {
+        // alternate the visiting order so every plan follows every other
+        let order: Vec<usize> = if round % 2 == 0 {
+            (0..plans.len()).collect()
+        } else {
+            (0..plans.len()).rev().collect()
+        };
+        for i in order {
+            let (plan, input) = &plans[i];
+            let x = batch_input(*input, batch, 79 + round as u64);
+            let fresh = plan.forward(&x, &mut Workspace::new()).unwrap();
+            let reused = plan.forward(&x, &mut shared).unwrap();
+            assert_eq!(reused, fresh, "{} at batch {batch}", models[i].0);
+        }
+    }
+}
+
+#[test]
+fn full_window_convs_lower_to_linear_steps() {
+    // lenet5's conv3 (5x5 window on a 5x5 input) must not run as a GEMM
+    // with a one-column right-hand side; bit-identity with the layerwise
+    // and quantized paths is pinned by the zoo tests above
+    for name in ["lenet5", "lenet5-reordered"] {
+        for precision in Precision::ALL {
+            let view = find_model(name).unwrap().compile(precision).unwrap().view();
+            let lowered = Shape4::new(1, 120, 1, 1);
+            assert!(
+                view.steps
+                    .iter()
+                    .any(|s| matches!(s.op, OpView::Linear { .. }) && s.out_shape == lowered),
+                "{name}@{precision}: conv3 did not lower"
+            );
+            for s in &view.steps {
+                let one_pixel = s.out_shape.h * s.out_shape.w == 1;
+                assert!(
+                    !(matches!(s.op, OpView::Conv { .. }) && one_pixel),
+                    "{name}@{precision}: a conv step with a 1x1 output survived"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn vgg_mini_arena_shrank_with_the_column_matrix() {
+    // two 8×3072 ping-pong buffers + conv1's 3×34×34 padded planes; the
+    // im2col matrix it replaced (27×1024) made this 307,200 bytes
+    let plan = find_model("vgg-mini")
+        .unwrap()
+        .compile(Precision::Fp32)
+        .unwrap();
+    assert_eq!(plan.arena_bytes(8), (2 * 8 * 3072 + 3 * 34 * 34) * 4);
+    assert!(plan.arena_bytes(8) < 307_200);
+}
+
+/// The scalar ikj GEMM every product in the repo used to run through.
+fn matmul_ikj(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+    let mut c = vec![0.0_f32; m * n];
+    for i in 0..m {
+        for p in 0..k {
+            let aip = a[i * k + p];
+            for j in 0..n {
+                c[i * n + j] += aip * b[p * n + j];
+            }
+        }
+    }
+    c
+}
+
+fn bits(xs: &[f32]) -> Vec<u32> {
+    xs.iter().map(|v| v.to_bits()).collect()
+}
+
+#[test]
+fn matmul_into_is_bitwise_the_ikj_loop_for_all_small_shapes() {
+    // every tile width, every ragged remainder in both directions
+    let mut rng = init::rng(83);
+    let a = init::uniform(Shape4::new(1, 1, 20, 20), -1.0, 1.0, &mut rng).into_vec();
+    let b = init::uniform(Shape4::new(1, 1, 20, 20), -1.0, 1.0, &mut rng).into_vec();
+    for m in 1..=20 {
+        for k in 1..=20 {
+            for n in 1..=20 {
+                let (a, b) = (&a[..m * k], &b[..k * n]);
+                let mut c = vec![f32::NAN; m * n];
+                matmul_into(a, b, &mut c, m, k, n);
+                assert_eq!(bits(&c), bits(&matmul_ikj(a, b, m, k, n)), "{m}x{k}x{n}");
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The column-free kernel against the path it replaced — im2col, the
+    /// scalar ikj GEMM, then a bias pass — bit for bit, over channel counts
+    /// that leave ragged tile rows, kernels up to 5×5, rings up to 2,
+    /// strides up to 3 (the im2col fallback) and non-square inputs whose
+    /// padded-width rows end in ragged tiles. A read past a window's end
+    /// would panic. The seven-loop `conv2d_direct` cross-checks the
+    /// values, since strided convs share `im2col_into` with the oracle.
+    #[test]
+    fn column_free_conv_is_bitwise_im2col_then_ikj(
+        seed in 0u64..1_000_000,
+        c_in in 1usize..=13,
+        out_ch in 1usize..=13,
+        k in 1usize..=5,
+        pad in 0usize..=2,
+        stride in 1usize..=3,
+        grow_h in 0usize..=9,
+        grow_w in 0usize..=14,
+        batch in 1usize..=2,
+    ) {
+        // at least one window fits; h and w vary independently
+        let smallest = k.saturating_sub(2 * pad).max(1);
+        let (h, w) = (smallest + grow_h, smallest + grow_w);
+        let geom = ConvGeometry::new(h, w, k, k, stride, pad).unwrap();
+        let mut rng = init::rng(seed);
+        let input = init::uniform(Shape4::new(batch, c_in, h, w), -1.0, 1.0, &mut rng);
+        let weight = init::uniform(Shape4::new(out_ch, c_in, k, k), -1.0, 1.0, &mut rng);
+        let bias = init::uniform(Shape4::new(1, 1, 1, out_ch), -1.0, 1.0, &mut rng).into_vec();
+
+        let taps = conv_tap_offsets(c_in, &geom);
+        let mut scratch = vec![f32::NAN; conv_scratch_len(c_in, &geom).unwrap()];
+        let mut got = vec![f32::NAN; batch * out_ch * geom.out_len()];
+        conv2d_into(
+            input.as_slice(), c_in, &geom, weight.as_slice(), Some(&bias),
+            &taps, &mut scratch, &mut got,
+        );
+
+        let (kk, n) = (c_in * geom.taps(), geom.out_len());
+        let mut cols = vec![0.0_f32; kk * n];
+        let mut want = Vec::with_capacity(got.len());
+        for item in input.as_slice().chunks_exact(c_in * h * w) {
+            im2col_into(item, c_in, &geom, &mut cols);
+            let prod = matmul_ikj(weight.as_slice(), &cols, out_ch, kk, n);
+            for (row, b) in prod.chunks_exact(n).zip(&bias) {
+                want.extend(row.iter().map(|v| v + b));
+            }
+        }
+        prop_assert_eq!(bits(&got), bits(&want), "{:?} c_in={} out_ch={}", geom, c_in, out_ch);
+
+        let direct = conv2d_direct(&input, &weight, Some(&bias), stride, pad).unwrap();
+        let got = Tensor::from_vec(direct.shape(), got).unwrap();
+        prop_assert!(got.approx_eq(&direct, 1e-4), "{:?}", geom);
     }
 }
 

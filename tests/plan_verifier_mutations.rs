@@ -80,11 +80,22 @@ fn inflated_arena_is_killed_by_p003() {
 }
 
 #[test]
-fn wrong_cols_scratch_is_killed_by_p004() {
-    let mut view = zoo_view("vgg-mini", Precision::Fp32);
-    assert!(view.cols_item_len > 0, "vgg-mini has plain convs");
-    view.cols_item_len -= 1;
-    assert_killed(&view, Code::PlanColsMismatch, "shrunk cols_item_len");
+fn conv_scratch_one_element_off_is_killed_by_p004() {
+    // the bound is exact in both directions: vgg-mini's widest staging
+    // area is conv1's zero-ringed 3×34×34 plane set
+    let clean = zoo_view("vgg-mini", Precision::Fp32);
+    assert_eq!(clean.conv_scratch_len, 3 * 34 * 34);
+    for (delta, what) in [(-1isize, "one short"), (1, "one long")] {
+        let mut view = clean.clone();
+        view.conv_scratch_len = view.conv_scratch_len.wrapping_add_signed(delta);
+        assert_killed(&view, Code::PlanConvScratchMismatch, what);
+    }
+    // lenet5's convs are unpadded (read in place) or lowered to linear:
+    // any scratch at all is an overallocation
+    let mut view = zoo_view("lenet5", Precision::Fp32);
+    assert_eq!(view.conv_scratch_len, 0);
+    view.conv_scratch_len = 1;
+    assert_killed(&view, Code::PlanConvScratchMismatch, "needless scratch");
 }
 
 #[test]

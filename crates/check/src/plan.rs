@@ -19,10 +19,14 @@
 //!   `conv_scratch_len` must be the *exact* least upper bounds of what the
 //!   steps touch — an undersized arena is an out-of-bounds write at run
 //!   time, an oversized one silently wastes `workers × batch` multiples of
-//!   memory. The conv scratch is re-derived per step from the column-free
-//!   kernel's staging rule: the zero-ringed plane set
-//!   `c·(h+2p)·(w+2p)` for a padded unit-stride conv, nothing for an
-//!   unpadded one, the im2col matrix `c·k²·out_h·out_w` for stride > 1.
+//!   memory. The kernel scratch is re-derived per step. A conv stages
+//!   `min(s,k)²` phase planes of `⌈(h+2p)/s⌉ × ⌈(w+2p)/s⌉` per channel:
+//!   for unit stride that is the zero-ringed plane set `c·(h+2p)·(w+2p)`,
+//!   and an unpadded unit-stride conv needs nothing. A fused step adds up
+//!   its padded plane (none when unpadded), the larger LAR orientation's
+//!   half-addition plane, the `c` block-sum planes `G` of
+//!   `(h+2p−(q−1)s) × (w+2p−(q−1)s)` for pool `q`, and the staging of the
+//!   stride-`q·s` conv over `G` by the same phase-plane rule.
 //! * **Parameter agreement** (`P005`): every baked weight/bias length
 //!   must match the step's geometry, so a registry artifact cannot
 //!   smuggle a truncated bias past compile.
@@ -162,7 +166,8 @@ pub enum OpView {
         /// One aggregate per output channel.
         channels: Vec<ChannelProfile>,
     },
-    /// Plain convolution (column-free GEMM; im2col staging for stride > 1).
+    /// Plain convolution (column-free GEMM; phase-plane staging for
+    /// stride > 1).
     Conv {
         /// Square kernel extent.
         k: usize,
@@ -256,7 +261,8 @@ pub struct PlanView {
     pub output_shape: Shape4,
     /// Declared largest per-item activation buffer (elements).
     pub buf_item_len: usize,
-    /// Declared largest conv staging scratch any step needs (elements).
+    /// Declared largest kernel scratch any conv or fused step needs
+    /// (elements).
     pub conv_scratch_len: usize,
     /// The executable steps, in order.
     pub steps: Vec<StepView>,
@@ -282,20 +288,37 @@ fn conv_out_extent(input: usize, k: usize, stride: usize, pad: usize) -> Option<
     Some((padded - k) / stride + 1)
 }
 
-/// Staging elements the column-free conv kernel needs for one step (see
-/// the module docs); `None` on overflow.
-fn conv_scratch(step: &StepView, k: usize, stride: usize, pad: usize) -> Option<usize> {
-    let c = step.in_shape.c;
-    if stride != 1 {
-        let out_len = step.out_shape.h.checked_mul(step.out_shape.w)?;
-        c.checked_mul(k.checked_mul(k)?)?.checked_mul(out_len)
-    } else if pad == 0 {
-        Some(0)
-    } else {
-        let ring = pad.checked_mul(2)?;
-        c.checked_mul(step.in_shape.h.checked_add(ring)?)?
-            .checked_mul(step.in_shape.w.checked_add(ring)?)
+/// Staging elements the column-free conv kernel needs for an `input` of
+/// `c × h × w` planes (see the module docs); `None` on overflow.
+fn conv_staging(input: Shape4, k: usize, stride: usize, pad: usize) -> Option<usize> {
+    // stride 0 stages nothing the executor could run; P006 reports it
+    if stride == 0 || (stride == 1 && pad == 0) {
+        return Some(0);
     }
+    let ring = pad.checked_mul(2)?;
+    let phases = stride.min(k).checked_mul(stride.min(k))?;
+    input
+        .c
+        .checked_mul(phases)?
+        .checked_mul(input.h.checked_add(ring)?.div_ceil(stride))?
+        .checked_mul(input.w.checked_add(ring)?.div_ceil(stride))
+}
+
+/// Scratch elements a fused conv-pool step over `input` needs (see the
+/// module docs); `None` on overflow.
+fn fused_scratch(input: Shape4, k: usize, stride: usize, pad: usize, pool: usize) -> Option<usize> {
+    let ring = pad.checked_mul(2)?;
+    let ph = input.h.checked_add(ring)?;
+    let pw = input.w.checked_add(ring)?;
+    let span = pool.saturating_sub(1).checked_mul(stride)?;
+    let g = Shape4::new(1, input.c, ph.saturating_sub(span), pw.saturating_sub(span));
+    let padded = if pad == 0 { 0 } else { ph.checked_mul(pw)? };
+    let ha = g.h.checked_mul(pw)?.max(ph.checked_mul(g.w)?);
+    let staging = conv_staging(g, k, pool.checked_mul(stride)?, 0)?;
+    padded
+        .checked_add(ha)?
+        .checked_add(g.checked_len()?)?
+        .checked_add(staging)
 }
 
 /// The exact least upper bounds (`buf_item_len`, `conv_scratch_len`) the
@@ -305,9 +328,18 @@ pub fn expected_arena(view: &PlanView) -> Option<(usize, usize)> {
     let mut scratch = 0usize;
     for step in &view.steps {
         buf = buf.max(checked_len(step.out_shape)?);
-        if let OpView::Conv { k, stride, pad, .. } = step.op {
-            scratch = scratch.max(conv_scratch(step, k, stride, pad)?);
-        }
+        let need = match step.op {
+            OpView::Conv { k, stride, pad, .. } => conv_staging(step.in_shape, k, stride, pad)?,
+            OpView::Fused {
+                k,
+                stride,
+                pad,
+                pool,
+                ..
+            } => fused_scratch(step.in_shape, k, stride, pad, pool)?,
+            _ => 0,
+        };
+        scratch = scratch.max(need);
     }
     Some((buf, scratch))
 }
@@ -395,7 +427,7 @@ pub fn check_plan(view: &PlanView, reporter: &mut Reporter) {
             }
             if view.conv_scratch_len != scratch {
                 let kind = if view.conv_scratch_len < scratch {
-                    "undersized conv scratch"
+                    "undersized kernel scratch"
                 } else {
                     "silent overallocation"
                 };
@@ -875,9 +907,39 @@ mod tests {
         // unpadded unit stride reads the item in place: no scratch at all
         let v = with_conv(|_, pad| *pad = 0, 0);
         assert!(run(&v).is_clean(), "{}", run(&v).pretty());
-        // stride 2 falls back to im2col: c·k²·out_h·out_w columns
-        let v = with_conv(|stride, _| *stride = 2, 9 * 4);
+        // stride 2 stages the 6×6 padded plane as 2×2 phase planes of 3×3
+        let v = with_conv(|stride, _| *stride = 2, 4 * 3 * 3);
         assert!(run(&v).is_clean(), "{}", run(&v).pretty());
+
+        // a fused 3×3 conv (pad 1) + 2×2 pool over the same 1×4×4 input:
+        // the 6×6 padded plane, a 5×6 half-addition plane, one 5×5 G
+        // plane, and the stride-2 G-conv's 2×2 phase planes of 3×3
+        let mut v = with_conv(|_, _| {}, 0);
+        let (w, b) = (vec![0.1_f32; 2 * 9], vec![0.0_f32; 2]);
+        v.steps[0].op = OpView::Fused {
+            k: 3,
+            stride: 1,
+            pad: 1,
+            pool: 2,
+            relu: false,
+            weight: ParamProfile::of(&w),
+            bias: ParamProfile::of(&b),
+            channels: (0..2)
+                .map(|c| ChannelProfile::of(&w[c * 9..(c + 1) * 9], b[c]))
+                .collect(),
+        };
+        let exact = 6 * 6 + 5 * 6 + 5 * 5 + 4 * 3 * 3;
+        v.conv_scratch_len = exact;
+        assert!(run(&v).is_clean(), "{}", run(&v).pretty());
+        for bad in [exact - 1, exact + 1] {
+            v.conv_scratch_len = bad;
+            let r = run(&v);
+            assert!(
+                r.find(Code::PlanConvScratchMismatch).is_some(),
+                "{}",
+                r.pretty()
+            );
+        }
     }
 
     #[test]
@@ -935,6 +997,38 @@ mod tests {
         v.output_shape = Shape4::new(1, 2, 3, 4);
         v.buf_item_len = 24;
         v.conv_scratch_len = 6 * 6;
+        let r = run(&v);
+        assert!(
+            r.find(Code::PlanBadStepGeometry).is_some(),
+            "{}",
+            r.pretty()
+        );
+    }
+
+    #[test]
+    fn zero_strides_are_p006_not_a_panic() {
+        let mut v = tiny_view();
+        if let OpView::Conv { stride, .. } = &mut v.steps[0].op {
+            *stride = 0;
+        }
+        let r = run(&v);
+        assert!(
+            r.find(Code::PlanBadStepGeometry).is_some(),
+            "{}",
+            r.pretty()
+        );
+        let mut v = tiny_view();
+        let (w, b) = (vec![0.1_f32; 2 * 9], vec![0.0_f32; 2]);
+        v.steps[0].op = OpView::Fused {
+            k: 3,
+            stride: 0,
+            pad: 1,
+            pool: 2,
+            relu: false,
+            weight: ParamProfile::of(&w),
+            bias: ParamProfile::of(&b),
+            channels: Vec::new(),
+        };
         let r = run(&v);
         assert!(
             r.find(Code::PlanBadStepGeometry).is_some(),

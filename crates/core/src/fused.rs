@@ -15,16 +15,27 @@
 //! 2. **full addition** — horizontal combine `G[a][b] = Σ_dx HA[a][b+dx·S]`
 //!    (the LAR/GAR-shared block-sum plane);
 //! 3. **MAC** — one multiplication per weight per *pooled* output (RME:
-//!    `1 − 1/p²` of the dense multiplications are gone), followed by the
-//!    preprocessing unit's divide-by-`p²`, bias add and ReLU.
+//!    `1 − 1/p²` of the dense multiplications are gone). The sum over
+//!    `(c, i, j)` is a plain convolution of the `G` planes with kernel `k`,
+//!    stride `p·S` and no padding, so it runs on the same column-free GEMM
+//!    as every regular conv ([`conv2d_into`], which stages the strided `G`
+//!    as phase planes) and adds its taps in the same ascending order. One
+//!    pass over the output then applies the preprocessing unit's
+//!    divide-by-`p²`, bias add and ReLU.
+//!
+//! Phases 1–2 are slice additions over whole rows (whole planes where the
+//! rows are contiguous), each element summed in the order of the formulas
+//! above. All temporaries are exact slices of one scratch
+//! buffer of [`FusedGeometry::scratch_len`] elements, which the execution
+//! plan carves out of its workspace.
 //!
 //! Functional equivalence with `relu(avg_pool(conv(x)))` is exact in
 //! integer arithmetic (modulo the deferred division, see
 //! [`FusedConvPool::with_divide`]) and within rounding noise at `f32`.
 
-use mlcnn_tensor::conv::conv2d_direct;
+use mlcnn_tensor::conv::{conv2d_direct, conv2d_into, conv_scratch_len, conv_tap_offsets};
 use mlcnn_tensor::pool::{avg_pool2d, sum_pool2d};
-use mlcnn_tensor::{Result, Scalar, Shape4, Tensor, TensorError};
+use mlcnn_tensor::{ConvGeometry, Result, Scalar, Shape4, Tensor, TensorError};
 use rayon::prelude::*;
 
 /// Geometry of a fused conv-pool layer, all derived quantities included.
@@ -94,46 +105,50 @@ impl FusedGeometry {
             out_w: (conv_w - pool) / pool + 1,
         })
     }
-}
 
-/// Reusable scratch buffers for the fused kernel: the zero-padded input
-/// plane, the half-addition plane and the per-channel block-sum (`G`)
-/// planes. Create once (or via `Workspace::for_plan`), reuse across calls —
-/// [`FusedConvPool::forward_item_into`] only grows the buffers when a
-/// larger geometry arrives, so steady-state execution is allocation-free.
-#[derive(Debug, Clone, Default)]
-pub struct FusedScratch<T> {
-    padded: Vec<T>,
-    ha: Vec<T>,
-    g: Vec<T>,
-}
-
-impl<T: Scalar> FusedScratch<T> {
-    /// Empty scratch; buffers grow on first use.
-    pub fn new() -> Self {
-        Self {
-            padded: Vec::new(),
-            ha: Vec::new(),
-            g: Vec::new(),
-        }
+    /// Height and width of the block-sum planes `G`: the padded input less
+    /// the pool's span `(p − 1)·S` in each axis.
+    fn block_sum_hw(&self) -> (usize, usize) {
+        let span = (self.pool - 1) * self.conv_stride;
+        (
+            self.in_h + 2 * self.pad - span,
+            self.in_w + 2 * self.pad - span,
+        )
     }
 
-    /// Grow the buffers to cover `geom` with `channels` input channels.
-    /// Never shrinks, so one scratch serves every fused layer of a network.
-    pub fn ensure(&mut self, geom: &FusedGeometry, channels: usize) {
-        let (ph, pw) = (geom.in_h + 2 * geom.pad, geom.in_w + 2 * geom.pad);
-        let span = (geom.pool - 1) * geom.conv_stride;
-        let g_len = channels * (ph - span) * (pw - span);
-        if self.padded.len() < ph * pw {
-            self.padded.resize(ph * pw, T::zero());
-        }
-        // both LAR orientations need at most a padded-plane's worth of HA
-        if self.ha.len() < ph * pw {
-            self.ha.resize(ph * pw, T::zero());
-        }
-        if self.g.len() < g_len {
-            self.g.resize(g_len, T::zero());
-        }
+    /// The convolution phase 3 runs over the `G` planes: kernel `k`, stride
+    /// `p·S`, no padding. Its output extent is the pooled output's.
+    pub fn block_sum_conv(&self) -> Result<ConvGeometry> {
+        let (g_h, g_w) = self.block_sum_hw();
+        ConvGeometry::new(g_h, g_w, self.k, self.k, self.pool * self.conv_stride, 0)
+    }
+
+    /// Lengths of the scratch slices one item uses, in order: the
+    /// zero-padded input plane (none when unpadded: the item plane is read
+    /// in place), the half-addition plane (the larger of the two LAR
+    /// orientations), the `channels` block-sum planes, and the `G`-conv's
+    /// staging. `None` when a size leaves `usize`.
+    fn scratch_parts(&self, channels: usize) -> Option<[usize; 4]> {
+        let ring = self.pad.checked_mul(2)?;
+        let (ph, pw) = (self.in_h.checked_add(ring)?, self.in_w.checked_add(ring)?);
+        let (g_h, g_w) = self.block_sum_hw();
+        let padded = if self.pad == 0 {
+            0
+        } else {
+            ph.checked_mul(pw)?
+        };
+        let ha = g_h.checked_mul(pw)?.max(ph.checked_mul(g_w)?);
+        let g = channels.checked_mul(g_h)?.checked_mul(g_w)?;
+        let staging = conv_scratch_len(channels, &self.block_sum_conv().ok()?)?;
+        Some([padded, ha, g, staging])
+    }
+
+    /// Scratch elements [`FusedConvPool::forward_item_into`] needs for
+    /// `channels` input planes. `None` when the size leaves `usize`.
+    pub fn scratch_len(&self, channels: usize) -> Option<usize> {
+        self.scratch_parts(channels)?
+            .into_iter()
+            .try_fold(0usize, usize::checked_add)
     }
 }
 
@@ -263,145 +278,135 @@ impl<T: Scalar> FusedConvPool<T> {
 
     /// Build the block-sum plane `G` for one padded input plane.
     ///
-    /// Returns a `(g_h × g_w)` row-major buffer where
-    /// `G[a][b] = Σ_{dy,dx<p} padded[a+dy·S][b+dx·S]`, computed through the
-    /// half-addition plane exactly as the AR unit does — column-based
-    /// (vertical HA, horizontal combine) by default, or the row-based
-    /// orientation when selected.
-    fn block_sum_plane_into(
-        &self,
-        padded: &[T],
-        ph: usize,
-        pw: usize,
-        ha: &mut [T],
-        g: &mut [T],
-    ) -> usize {
-        let p = self.pool;
-        let s = self.conv_stride;
+    /// Writes the `(g_h × g_w)` row-major plane
+    /// `G[a][b] = Σ_{dy,dx<p} padded[a+dy·S][b+dx·S]` into `g`, computed
+    /// through the half-addition plane exactly as the AR unit does —
+    /// column-based (vertical HA, horizontal combine) by default, or the
+    /// row-based orientation when selected. Every step adds whole rows (or
+    /// whole planes, where the rows are contiguous), in the order of the
+    /// sums above.
+    fn block_sum_plane_into(&self, padded: &[T], ph: usize, pw: usize, ha: &mut [T], g: &mut [T]) {
+        let (p, s) = (self.pool, self.conv_stride);
         let span = (p - 1) * s;
-        let g_h = ph - span;
-        let gw_valid = pw - span;
-        debug_assert!(g.len() >= g_h * gw_valid);
+        let (g_h, g_w) = (ph - span, pw - span);
+        let add = |acc: &mut [T], xs: &[T]| {
+            for (a, &x) in acc.iter_mut().zip(xs) {
+                *a += x;
+            }
+        };
         if self.row_based {
             // phase 1: half additions over rows (horizontal p-sums)
-            debug_assert!(ha.len() >= ph * gw_valid);
-            for a in 0..ph {
-                for b in 0..gw_valid {
-                    let mut acc = padded[a * pw + b];
-                    for dx in 1..p {
-                        acc += padded[a * pw + b + dx * s];
-                    }
-                    ha[a * gw_valid + b] = acc;
+            let ha = &mut ha[..ph * g_w];
+            for (src, h) in padded.chunks_exact(pw).zip(ha.chunks_exact_mut(g_w)) {
+                h.copy_from_slice(&src[..g_w]);
+                for dx in 1..p {
+                    add(h, &src[dx * s..][..g_w]);
                 }
             }
-            // phase 2: vertical combine
-            for a in 0..g_h {
-                for b in 0..gw_valid {
-                    let mut acc = ha[a * gw_valid + b];
-                    for dy in 1..p {
-                        acc += ha[(a + dy * s) * gw_valid + b];
-                    }
-                    g[a * gw_valid + b] = acc;
-                }
+            // phase 2: vertical combine; HA rows are contiguous at width
+            // g_w, so each term is one slice over the whole plane
+            g.copy_from_slice(&ha[..g_h * g_w]);
+            for dy in 1..p {
+                add(g, &ha[dy * s * g_w..][..g_h * g_w]);
             }
-            return gw_valid;
+            return;
         }
-        let g_w = pw; // HA spans full width; G valid width is pw - span
-        debug_assert!(ha.len() >= g_h * g_w);
-        // phase 1: half additions (vertical p-sums at spacing S)
-        for a in 0..g_h {
-            for b in 0..pw {
-                let mut acc = padded[a * pw + b];
-                for dy in 1..p {
-                    acc += padded[(a + dy * s) * pw + b];
-                }
-                ha[a * g_w + b] = acc;
-            }
+        // phase 1: half additions (vertical p-sums at spacing S) over the
+        // full padded width, one slice over the whole plane per term
+        let ha = &mut ha[..g_h * pw];
+        ha.copy_from_slice(&padded[..g_h * pw]);
+        for dy in 1..p {
+            add(ha, &padded[dy * s * pw..][..g_h * pw]);
         }
         // phase 2: full additions (horizontal combine at spacing S)
-        for a in 0..g_h {
-            for b in 0..gw_valid {
-                let mut acc = ha[a * g_w + b];
-                for dx in 1..p {
-                    acc += ha[a * g_w + b + dx * s];
-                }
-                g[a * gw_valid + b] = acc;
+        for (h, row) in ha.chunks_exact(pw).zip(g.chunks_exact_mut(g_w)) {
+            row.copy_from_slice(&h[..g_w]);
+            for dx in 1..p {
+                add(row, &h[dx * s..][..g_w]);
             }
         }
-        gw_valid
     }
 
     /// Run the fused operator on one batch item laid out as a raw
     /// `c × in_h × in_w` slice, writing the `out_ch × out_h × out_w` result
-    /// into `dst`. All temporaries come from `scratch`, which is grown on
-    /// first use and reused thereafter — the execution plan's zero-
-    /// allocation steady state. Arithmetic is identical to [`Self::forward`]
-    /// (which delegates here per item), so the two are bitwise equal.
+    /// into `dst`. `gconv` is [`FusedGeometry::block_sum_conv`] and `taps`
+    /// its [`conv_tap_offsets`] for the input channels — both depend on the
+    /// geometry only, so the execution plan resolves them at compile. All
+    /// temporaries are slices of `scratch`, which holds at least
+    /// [`FusedGeometry::scratch_len`] elements; stale contents are fine.
+    /// [`Self::forward`] delegates here per item, so the two are bitwise
+    /// equal.
     pub fn forward_item_into(
         &self,
         item: &[T],
         geom: &FusedGeometry,
+        gconv: &ConvGeometry,
+        taps: &[usize],
         dst: &mut [T],
-        scratch: &mut FusedScratch<T>,
+        scratch: &mut [T],
     ) {
         let wshape = self.weight.shape();
         let channels = wshape.c;
-        let (p, s, k) = (self.pool, self.conv_stride, geom.k);
         let (ph, pw) = (geom.in_h + 2 * geom.pad, geom.in_w + 2 * geom.pad);
-        assert_eq!(item.len(), channels * geom.in_h * geom.in_w);
+        let (g_h, g_w) = geom.block_sum_hw();
+        let in_plane = geom.in_h * geom.in_w;
+        assert_eq!(item.len(), channels * in_plane);
         assert_eq!(dst.len(), wshape.n * geom.out_h * geom.out_w);
-        scratch.ensure(geom, channels);
-        let inv_area = T::one() / T::from_f32((p * p) as f32);
-        let span = (p - 1) * s;
-        let g_plane_len = (ph - span) * (pw - span);
+        let [padded_len, ha_len, g_len, _] = geom
+            .scratch_parts(channels)
+            .expect("fused scratch size fits usize");
+        let (padded, rest) = scratch.split_at_mut(padded_len);
+        let (ha, rest) = rest.split_at_mut(ha_len);
+        let (g, staging) = rest.split_at_mut(g_len);
         // phase 1+2 per input channel: block-sum planes
-        let mut gw = 0;
-        for c in 0..channels {
-            let plane = &item[c * geom.in_h * geom.in_w..(c + 1) * geom.in_h * geom.in_w];
-            let padded = &mut scratch.padded[..ph * pw];
-            padded.fill(T::zero());
-            for h in 0..geom.in_h {
-                let dst_row = &mut padded
-                    [(h + geom.pad) * pw + geom.pad..(h + geom.pad) * pw + geom.pad + geom.in_w];
-                dst_row.copy_from_slice(&plane[h * geom.in_w..(h + 1) * geom.in_w]);
-            }
-            gw = self.block_sum_plane_into(
-                &scratch.padded[..ph * pw],
-                ph,
-                pw,
-                &mut scratch.ha,
-                &mut scratch.g[c * g_plane_len..(c + 1) * g_plane_len],
-            );
-        }
-        // phase 3: MAC over the factored weights
-        for to in 0..wshape.n {
-            for x in 0..geom.out_h {
-                for y in 0..geom.out_w {
-                    let mut acc = T::zero();
-                    for ti in 0..channels {
-                        let gp = &scratch.g[ti * g_plane_len..(ti + 1) * g_plane_len];
-                        for i in 0..k {
-                            let row = (p * x * s + i) * gw + p * y * s;
-                            for j in 0..k {
-                                acc += self.weight.at(to, ti, i, j) * gp[row + j];
-                            }
-                        }
-                    }
-                    // preprocessing: /p², bias, activation
-                    let mut v = if self.divide { acc * inv_area } else { acc };
-                    v += self.bias[to];
-                    if self.relu {
-                        v = v.relu();
-                    }
-                    dst[(to * geom.out_h + x) * geom.out_w + y] = v;
+        for (plane, gp) in item
+            .chunks_exact(in_plane)
+            .zip(g.chunks_exact_mut(g_h * g_w))
+        {
+            let padded: &[T] = if geom.pad == 0 {
+                plane
+            } else {
+                padded.fill(T::zero());
+                let rows = padded.chunks_exact_mut(pw).skip(geom.pad);
+                for (row, prow) in plane.chunks_exact(geom.in_w).zip(rows) {
+                    prow[geom.pad..geom.pad + geom.in_w].copy_from_slice(row);
                 }
+                padded
+            };
+            self.block_sum_plane_into(padded, ph, pw, ha, gp);
+        }
+        // phase 3: MAC over the factored weights, as a conv over G
+        conv2d_into(
+            g,
+            channels,
+            gconv,
+            self.weight.as_slice(),
+            None,
+            taps,
+            staging,
+            dst,
+        );
+        // preprocessing: /p², bias, activation
+        let p = self.pool;
+        let inv_area = T::one() / T::from_f32((p * p) as f32);
+        for (out, &bias) in dst
+            .chunks_exact_mut(geom.out_h * geom.out_w)
+            .zip(&self.bias)
+        {
+            for v in out {
+                let mut x = if self.divide { *v * inv_area } else { *v };
+                x += bias;
+                if self.relu {
+                    x = x.relu();
+                }
+                *v = x;
             }
         }
     }
 
-    /// Run the fused operator. Batch items write their disjoint chunks of
-    /// the output tensor in place (no per-item buffers to re-copy), in
-    /// parallel; each worker carries its own [`FusedScratch`].
+    /// Run the fused operator. The batch is split into one contiguous run
+    /// of items per rayon worker, each writing its chunk of the output in
+    /// place out of one scratch buffer of its own.
     pub fn forward(&self, input: &Tensor<T>) -> Result<Tensor<T>> {
         let ishape = input.shape();
         let wshape = self.weight.shape();
@@ -413,18 +418,36 @@ impl<T: Scalar> FusedConvPool<T> {
             });
         }
         let geom = self.geometry(ishape)?;
-        let out_shape = Shape4::new(ishape.n, wshape.n, geom.out_h, geom.out_w);
+        let gconv = geom.block_sum_conv()?;
         let in_item = ishape.c * ishape.h * ishape.w;
+        if in_item == 0 {
+            return Err(TensorError::BadGeometry {
+                reason: format!("fused conv-pool over an empty input item {ishape}"),
+            });
+        }
+        let scratch_len = geom
+            .scratch_len(ishape.c)
+            .ok_or_else(|| TensorError::BadGeometry {
+                reason: "fused scratch size overflows usize".into(),
+            })?;
+        let taps = conv_tap_offsets(ishape.c, &gconv);
+        let out_shape = Shape4::new(ishape.n, wshape.n, geom.out_h, geom.out_w);
         let out_item = wshape.n * geom.out_h * geom.out_w;
         let data = input.as_slice();
         let mut out = Tensor::zeros(out_shape);
+        let per_worker = ishape.n.div_ceil(rayon::current_num_threads()).max(1);
         out.as_mut_slice()
-            .par_chunks_mut(out_item.max(1))
+            .par_chunks_mut((per_worker * out_item).max(1))
             .enumerate()
-            .for_each(|(n, dst)| {
-                let mut scratch = FusedScratch::new();
-                let item = &data[n * in_item..(n + 1) * in_item];
-                self.forward_item_into(item, &geom, dst, &mut scratch);
+            .for_each(|(w, dst)| {
+                let src = &data[w * per_worker * in_item..];
+                let mut scratch = vec![T::zero(); scratch_len];
+                for (item, d) in src
+                    .chunks_exact(in_item)
+                    .zip(dst.chunks_exact_mut(out_item))
+                {
+                    self.forward_item_into(item, &geom, &gconv, &taps, d, &mut scratch);
+                }
             });
         Ok(out)
     }
@@ -572,17 +595,150 @@ mod tests {
         // state (stale padding ring, oversized G planes) between calls.
         let (input_a, fused_a) = rand_setup(11, 1, 3, 2, 10, 3, 1, 1, 2);
         let (input_b, fused_b) = rand_setup(12, 1, 2, 3, 8, 2, 1, 0, 2);
-        let mut scratch = FusedScratch::new();
+        let need = |inp: &Tensor<f32>, f: &FusedConvPool<f32>| {
+            let c = inp.shape().c;
+            f.geometry(inp.shape()).unwrap().scratch_len(c).unwrap()
+        };
+        let len = need(&input_a, &fused_a).max(need(&input_b, &fused_b));
+        let mut scratch = vec![f32::NAN; len];
         for (inp, f) in [
             (&input_a, &fused_a),
             (&input_b, &fused_b),
             (&input_a, &fused_a),
         ] {
             let geom = f.geometry(inp.shape()).unwrap();
+            let gconv = geom.block_sum_conv().unwrap();
+            let taps = conv_tap_offsets(inp.shape().c, &gconv);
             let expect = f.forward(inp).unwrap();
             let mut dst = vec![0.0_f32; expect.shape().len()];
-            f.forward_item_into(inp.as_slice(), &geom, &mut dst, &mut scratch);
+            f.forward_item_into(inp.as_slice(), &geom, &gconv, &taps, &mut dst, &mut scratch);
             assert_eq!(dst.as_slice(), expect.as_slice());
+        }
+    }
+
+    /// The per-item kernel before phase 3 moved onto the conv GEMM: scalar
+    /// half and full additions, then the MAC loop over `weight.at()`. The
+    /// bitwise oracle for [`FusedConvPool::forward_item_into`].
+    fn forward_item_scalar(f: &FusedConvPool<f32>, item: &[f32], geom: &FusedGeometry) -> Vec<f32> {
+        let wshape = f.weight.shape();
+        let (p, s, k) = (f.pool, f.conv_stride, geom.k);
+        let (ph, pw) = (geom.in_h + 2 * geom.pad, geom.in_w + 2 * geom.pad);
+        let span = (p - 1) * s;
+        let (g_h, gw) = (ph - span, pw - span);
+        let mut g = vec![0.0_f32; wshape.c * g_h * gw];
+        for c in 0..wshape.c {
+            let mut padded = vec![0.0_f32; ph * pw];
+            for h in 0..geom.in_h {
+                for w in 0..geom.in_w {
+                    padded[(h + geom.pad) * pw + geom.pad + w] =
+                        item[(c * geom.in_h + h) * geom.in_w + w];
+                }
+            }
+            let gp = &mut g[c * g_h * gw..(c + 1) * g_h * gw];
+            if f.row_based {
+                let mut ha = vec![0.0_f32; ph * gw];
+                for a in 0..ph {
+                    for b in 0..gw {
+                        let mut acc = padded[a * pw + b];
+                        for dx in 1..p {
+                            acc += padded[a * pw + b + dx * s];
+                        }
+                        ha[a * gw + b] = acc;
+                    }
+                }
+                for a in 0..g_h {
+                    for b in 0..gw {
+                        let mut acc = ha[a * gw + b];
+                        for dy in 1..p {
+                            acc += ha[(a + dy * s) * gw + b];
+                        }
+                        gp[a * gw + b] = acc;
+                    }
+                }
+            } else {
+                let mut ha = vec![0.0_f32; g_h * pw];
+                for a in 0..g_h {
+                    for b in 0..pw {
+                        let mut acc = padded[a * pw + b];
+                        for dy in 1..p {
+                            acc += padded[(a + dy * s) * pw + b];
+                        }
+                        ha[a * pw + b] = acc;
+                    }
+                }
+                for a in 0..g_h {
+                    for b in 0..gw {
+                        let mut acc = ha[a * pw + b];
+                        for dx in 1..p {
+                            acc += ha[a * pw + b + dx * s];
+                        }
+                        gp[a * gw + b] = acc;
+                    }
+                }
+            }
+        }
+        let inv_area = 1.0 / ((p * p) as f32);
+        let mut dst = vec![0.0_f32; wshape.n * geom.out_h * geom.out_w];
+        for to in 0..wshape.n {
+            for x in 0..geom.out_h {
+                for y in 0..geom.out_w {
+                    let mut acc = 0.0_f32;
+                    for ti in 0..wshape.c {
+                        let gp = &g[ti * g_h * gw..(ti + 1) * g_h * gw];
+                        for i in 0..k {
+                            let row = (p * x * s + i) * gw + p * y * s;
+                            for j in 0..k {
+                                acc += f.weight.at(to, ti, i, j) * gp[row + j];
+                            }
+                        }
+                    }
+                    let mut v = if f.divide { acc * inv_area } else { acc };
+                    v += f.bias[to];
+                    if f.relu {
+                        v = v.relu();
+                    }
+                    dst[(to * geom.out_h + x) * geom.out_w + y] = v;
+                }
+            }
+        }
+        dst
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn forward_is_bitwise_the_scalar_kernel() {
+        // (seed, b, cin, cout, d, k, s, pad, pool): lenet5r's two fused
+        // layers, a padded strided one, a stride wider than the kernel and
+        // the 8x8 global pool; the root proptest in plan_equivalence.rs
+        // sweeps the rest
+        for (seed, b, cin, cout, d, k, s, pad, pool) in [
+            (
+                13u64, 2usize, 3usize, 6usize, 32usize, 5usize, 1usize, 0usize, 2usize,
+            ),
+            (14, 1, 6, 16, 14, 5, 1, 0, 2),
+            (15, 2, 2, 3, 11, 3, 2, 2, 3),
+            (16, 1, 3, 2, 9, 1, 2, 1, 2),
+            (17, 1, 3, 2, 8, 3, 1, 1, 8),
+        ] {
+            let (input, fused) = rand_setup(seed, b, cin, cout, d, k, s, pad, pool);
+            let geom = fused.geometry(input.shape()).unwrap();
+            for row_based in [false, true] {
+                let f = fused.clone().with_row_based_lar(row_based);
+                let want: Vec<f32> = input
+                    .as_slice()
+                    .chunks_exact(cin * d * d)
+                    .flat_map(|item| forward_item_scalar(&f, item, &geom))
+                    .collect();
+                let got = f.forward(&input).unwrap();
+                assert_eq!(
+                    bits(got.as_slice()),
+                    bits(&want),
+                    "d={d} k={k} s={s} pad={pad} pool={pool} row_based={row_based}"
+                );
+            }
         }
     }
 

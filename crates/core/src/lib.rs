@@ -42,7 +42,7 @@ pub mod quantized;
 pub mod reorder;
 pub mod reuse_sim;
 
-pub use fused::{FusedConvPool, FusedScratch};
+pub use fused::FusedConvPool;
 pub use fused_net::FusedNetwork;
 pub use opcount::OpCounts;
 pub use plan::{

@@ -12,7 +12,6 @@
 //! driver whatever `RAYON_NUM_THREADS` says.
 
 use super::{ExecutionPlan, Op, Step, Workspace};
-use crate::fused::FusedScratch;
 use crate::quantized::round_f16_slice;
 use mlcnn_quant::{dorefa, Precision};
 use mlcnn_tensor::conv::conv2d_into;
@@ -36,10 +35,8 @@ pub(crate) fn run(
     let out_item = plan.output_shape.len();
     debug_assert_eq!(out.len(), batch * out_item);
 
-    // disjoint field borrows: a/b ping-pong, conv + fused are kernel scratch
-    let Workspace {
-        a, b, conv, fused, ..
-    } = ws;
+    // disjoint field borrows: a/b ping-pong, conv is kernel scratch
+    let Workspace { a, b, conv, .. } = ws;
     a[..batch * in_item].copy_from_slice(input.as_slice());
     let mut cur_in_a = true;
 
@@ -68,7 +65,7 @@ pub(crate) fn run(
                 } else {
                     (&b[..in_len], &mut a[..out_len])
                 };
-                exec_op(op, step, batch, src, dst, conv, fused)?;
+                exec_op(op, step, batch, src, dst, conv)?;
                 cur_in_a = !cur_in_a;
             }
         }
@@ -102,18 +99,24 @@ fn exec_op(
     src: &[f32],
     dst: &mut [f32],
     conv: &mut [f32],
-    fused: &mut FusedScratch<f32>,
 ) -> Result<()> {
     let in_item = step.in_shape.len();
     let out_item = step.out_shape.len();
     match op {
-        Op::Fused { kernel, geom } => {
+        Op::Fused {
+            kernel,
+            geom,
+            gconv,
+            taps,
+        } => {
             for n in 0..batch {
                 kernel.forward_item_into(
                     &src[n * in_item..(n + 1) * in_item],
                     geom,
+                    gconv,
+                    taps,
                     &mut dst[n * out_item..(n + 1) * out_item],
-                    fused,
+                    conv,
                 );
             }
         }

@@ -24,11 +24,13 @@
 //! `Network` / `FusedNetwork` / `forward_quantized` paths it replaces.
 //!
 //! Plain convolutions run column-free (`mlcnn_tensor::conv::conv2d_into`,
-//! tap offsets resolved here at compile); one whose window covers its whole
+//! tap offsets resolved here at compile), and so does the multiply phase of
+//! a fused step: a convolution of its block-sum planes, whose geometry and
+//! tap offsets are resolved here too. A conv whose window covers its whole
 //! un-padded input *is* a fully connected layer over the flattened item and
 //! is lowered to [`Op::Linear`], so the batch shares one GEMM instead of
-//! running `out_ch` dot products per item. Both are the same products
-//! summed in the same order as the layerwise path.
+//! running `out_ch` dot products per item. The conv and its linear
+//! lowering sum the same products in the same order as the layerwise path.
 
 mod exec;
 mod segments;
@@ -106,10 +108,14 @@ impl PlanOptions {
 /// others. Plans compiled without a store get private (but still `Arc`'d)
 /// segments — execution is identical either way.
 pub(crate) enum Op {
-    /// MLCNN fused conv + avg-pool (+ ReLU) group.
+    /// MLCNN fused conv + avg-pool (+ ReLU) group. `gconv` is the
+    /// convolution over the block-sum planes and `taps` its
+    /// `conv_tap_offsets` for the step's input channels.
     Fused {
         kernel: Arc<FusedConvPool<f32>>,
         geom: FusedGeometry,
+        gconv: ConvGeometry,
+        taps: Vec<usize>,
     },
     /// Plain convolution (regular mode), executed column-free; `taps` is
     /// `conv_tap_offsets` for the step's input channels and `geom`.
@@ -317,8 +323,9 @@ pub struct ExecutionPlan {
     pub(crate) precision: Precision,
     /// Largest per-item activation buffer any step needs (elements).
     pub(crate) buf_item_len: usize,
-    /// Largest staging scratch any conv step needs (elements): padded
-    /// planes, or im2col columns for stride > 1. Not scaled by the batch.
+    /// Largest kernel scratch any conv or fused step needs (elements): a
+    /// conv's padded or phase planes, a fused step's block-sum planes plus
+    /// their conv's staging. Not scaled by the batch.
     pub(crate) conv_scratch_len: usize,
 }
 
@@ -380,7 +387,7 @@ impl ExecutionPlan {
                      the workspace arena cannot be sized"
                 .into(),
         };
-        // largest conv staging area: padded planes, or im2col columns
+        // largest kernel scratch any conv or fused step needs
         let mut scratch_len = 0usize;
 
         let take_pair = |p: &mut usize| -> Result<(Tensor<f32>, Tensor<f32>)> {
@@ -450,6 +457,10 @@ impl ExecutionPlan {
                             )?;
                             let fgeom = kernel.geometry(shape)?;
                             let out = kernel.out_shape(shape)?;
+                            let gconv = fgeom.block_sum_conv()?;
+                            let need = fgeom.scratch_len(shape.c).ok_or_else(overflow)?;
+                            scratch_len = scratch_len.max(need);
+                            let taps = conv_tap_offsets(shape.c, &gconv);
                             let group_end = i + if with_relu { 2 } else { 1 };
                             push(
                                 &mut steps,
@@ -457,6 +468,8 @@ impl ExecutionPlan {
                                 Op::Fused {
                                     kernel,
                                     geom: fgeom,
+                                    gconv,
+                                    taps,
                                 },
                                 out,
                                 group_end,
@@ -663,7 +676,7 @@ impl ExecutionPlan {
 
     /// Workspace arena footprint in bytes for a forward at `batch` items:
     /// the two ping-pong activation buffers scale with the batch, the
-    /// conv scratch does not. Used by the serving-config lints to sanity
+    /// kernel scratch does not. Used by the serving-config lints to sanity
     /// check `workers × max_batch` memory before spawning anything.
     pub fn arena_bytes(&self, batch: usize) -> usize {
         let elems = 2usize

@@ -64,7 +64,7 @@ impl ExecutionPlan {
             .iter()
             .map(|step| {
                 let op = match &step.op {
-                    Op::Fused { kernel, geom } => OpView::Fused {
+                    Op::Fused { kernel, geom, .. } => OpView::Fused {
                         k: geom.k,
                         stride: geom.conv_stride,
                         pad: geom.pad,

@@ -2,18 +2,19 @@
 //! activation buffers plus kernel scratch, sized from a compiled plan so
 //! steady-state forwards never touch the allocator.
 
-use super::{ExecutionPlan, Op};
-use crate::fused::FusedScratch;
+use super::ExecutionPlan;
 use std::ops::{Deref, DerefMut};
 use std::sync::Mutex;
 
 /// Reusable execution arena for [`ExecutionPlan::forward`].
 ///
 /// Holds two ping-pong activation buffers (each large enough for the
-/// biggest intermediate at the workspace's batch size), one conv staging
-/// scratch (zero-ringed input planes; im2col columns for stride > 1), and
-/// the fused-operator scratch planes. All buffers grow on
-/// demand and never shrink, so after the first forward at a given batch
+/// biggest intermediate at the workspace's batch size) and one kernel
+/// scratch of the plan's `conv_scratch_len` elements, which every conv and
+/// fused step carves exact slices from: a conv's zero-ringed planes or
+/// phase planes, a fused step's padded plane, half-addition plane,
+/// block-sum planes `G` and the `G`-conv's phase planes. All buffers grow
+/// on demand and never shrink, so after the first forward at a given batch
 /// size every subsequent forward is allocation-free.
 ///
 /// The workspace is the *mutable* half of execution — the plan itself is
@@ -24,7 +25,6 @@ pub struct Workspace {
     pub(crate) a: Vec<f32>,
     pub(crate) b: Vec<f32>,
     pub(crate) conv: Vec<f32>,
-    pub(crate) fused: FusedScratch<f32>,
     batch: usize,
 }
 
@@ -55,11 +55,6 @@ impl Workspace {
         if self.conv.len() < plan.conv_scratch_len {
             self.conv.resize(plan.conv_scratch_len, 0.0);
         }
-        for step in &plan.steps {
-            if let Op::Fused { geom, .. } = &step.op {
-                self.fused.ensure(geom, step.in_shape.c);
-            }
-        }
         self.batch = self.batch.max(batch);
     }
 
@@ -68,9 +63,9 @@ impl Workspace {
         self.batch
     }
 
-    /// Total f32 capacity of the activation and conv scratch buffers — stable
-    /// across repeated forwards at the same batch size, which is what the
-    /// zero-steady-state-allocation tests assert on.
+    /// Total f32 capacity of the workspace: both activation buffers and the
+    /// kernel scratch — stable across repeated forwards at the same batch
+    /// size, which is what the zero-steady-state-allocation tests assert on.
     pub fn buffer_capacity(&self) -> usize {
         self.a.capacity() + self.b.capacity() + self.conv.capacity()
     }

@@ -14,19 +14,26 @@
 //!   then the contiguous window starting at `(c·(h+2p) + kh)·(w+2p) + kw`,
 //!   and the `k_w − 1` columns per output row that straddle two image rows
 //!   are dropped when tiles are written out (bias added in the same
-//!   write). Stride > 1 falls back to [`im2col_into`] feeding the same
-//!   kernel. [`conv2d_im2col`] (the name predates the column-free kernel)
-//!   is the batch-parallel tensor wrapper the trainable conv layer calls.
+//!   write). Stride `s > 1` splits each padded plane into *phase planes*
+//!   of `⌈(h+2p)/s⌉ × ⌈(w+2p)/s⌉`: phase `(a, b)` holds the padded pixels
+//!   `(s·r + a, s·q + b)`, so output `(oh, ow)` of tap `(kh, kw)` is pixel
+//!   `(oh + kh div s, ow + kw div s)` of phase `(kh mod s, kw mod s)` — a
+//!   unit-stride window again, with the phase-plane width as the row pitch.
+//!   Only the `min(s, k)` phases per axis that some tap reads are staged,
+//!   and unit stride is the one-phase case. [`conv2d_im2col`] (the name
+//!   predates the column-free kernel) is the batch-parallel tensor wrapper
+//!   the trainable conv layer calls; [`im2col_into`](crate::im2col::im2col_into)
+//!   stays for the backward pass and as the bitwise oracle.
 //!
 //! Every output element is accumulated over `(c, kh, kw)` in ascending
 //! order with padding taps contributing `a·0`, exactly like im2col followed
-//! by the scalar GEMM loop, so the two are bitwise identical.
+//! by the scalar GEMM loop, so the two are bitwise identical at every
+//! stride.
 //!
 //! Weights are `M × N × K × K` (out-channels × in-channels × kernel), inputs
 //! `B × N × H × W`, matching the paper's Figure 1 notation.
 
 use crate::error::TensorError;
-use crate::im2col::im2col_into;
 use crate::linalg::gemm_windows;
 use crate::scalar::Scalar;
 use crate::shape::{ConvGeometry, Shape4};
@@ -116,40 +123,99 @@ pub fn conv2d_direct<T: Scalar>(
     Ok(out)
 }
 
+/// Phase planes per channel along each axis and the extent of one plane,
+/// `[phases_h, phases_w, plane_h, plane_w]`: a stride-`s` conv reads padded
+/// row `s·oh + kh`, which is row `oh + kh div s` of phase `kh mod s` (the
+/// same for columns), so `min(s, k)` phases per axis hold every tap. Unit
+/// stride is the single zero-ringed plane. `None` when a size leaves
+/// `usize`.
+fn phases(geom: &ConvGeometry) -> Option<[usize; 4]> {
+    let (s, ring) = (geom.stride, geom.pad.checked_mul(2)?);
+    Some([
+        s.min(geom.k_h),
+        s.min(geom.k_w),
+        geom.in_h.checked_add(ring)?.div_ceil(s),
+        geom.in_w.checked_add(ring)?.div_ceil(s),
+    ])
+}
+
 /// Scratch elements [`conv2d_into`] needs for `channels` input planes of
-/// `geom`: the zero-ringed plane set for a padded unit-stride convolution,
-/// nothing for an unpadded one (it reads the item in place), the im2col
-/// matrix for stride > 1. `None` when the size leaves `usize`.
+/// `geom`: the phase planes (the zero-ringed plane set for unit stride),
+/// or nothing for an unpadded unit-stride convolution, which reads the
+/// item in place. `None` when the size leaves `usize`.
 pub fn conv_scratch_len(channels: usize, geom: &ConvGeometry) -> Option<usize> {
-    if geom.stride != 1 {
-        channels
-            .checked_mul(geom.taps())?
-            .checked_mul(geom.out_len())
-    } else if geom.pad == 0 {
-        Some(0)
-    } else {
-        let ring = geom.pad.checked_mul(2)?;
-        channels
-            .checked_mul(geom.in_h.checked_add(ring)?)?
-            .checked_mul(geom.in_w.checked_add(ring)?)
+    if geom.stride == 1 && geom.pad == 0 {
+        return Some(0);
     }
+    let [qh, qw, ph, pw] = phases(geom)?;
+    channels
+        .checked_mul(qh.checked_mul(qw)?)?
+        .checked_mul(ph)?
+        .checked_mul(pw)
 }
 
 /// Where each row `(c, kh, kw)` of the virtual column matrix starts in the
-/// buffer [`conv2d_into`] multiplies against: a window of the (padded)
-/// plane set for unit stride, a row of the im2col matrix otherwise. Depends
-/// on the geometry only, so the execution plan computes it once at compile.
+/// buffer [`conv2d_into`] multiplies against: pixel `(kh div s, kw div s)`
+/// of phase plane `(kh mod s, kw mod s)` of channel `c` (for unit stride, a
+/// window of the padded plane set, or of the item itself when unpadded).
+/// Depends on the geometry only, so the execution plan computes it once at
+/// compile.
 pub fn conv_tap_offsets(channels: usize, geom: &ConvGeometry) -> Vec<usize> {
-    let rows = 0..channels * geom.taps();
-    if geom.stride != 1 {
-        return rows.map(|p| p * geom.out_len()).collect();
+    let [qh, qw, ph, pw] = phases(geom).expect("conv geometry extents fit usize");
+    let s = geom.stride;
+    (0..channels * geom.taps())
+        .map(|p| {
+            let (c, tap) = (p / geom.taps(), p % geom.taps());
+            let (kh, kw) = (tap / geom.k_w, tap % geom.k_w);
+            let plane = (c * qh + kh % s) * qw + kw % s;
+            (plane * ph + kh / s) * pw + kw / s
+        })
+        .collect()
+}
+
+/// Copy one `channels × in_h × in_w` item into the phase planes of a
+/// strided `geom` (see [`conv_tap_offsets`]): phase `(a, b)` of a channel
+/// holds padded pixel `(s·r + a, s·q + b)` at `(r, q)`, and zero in the
+/// ring and past the padded edge. Writes every element of `staged`, so
+/// stale contents never reach a product.
+fn stage_phase_planes<T: Scalar>(
+    item: &[T],
+    channels: usize,
+    geom: &ConvGeometry,
+    staged: &mut [T],
+) {
+    let [qh, qw, ph, pw] = phases(geom).expect("conv geometry extents fit usize");
+    let (s, pad) = (geom.stride, geom.pad);
+    // the cells `lo..hi` of a phase-plane axis at phase `a` whose padded
+    // pixel `s·cell + a` lies inside an image extent of `len`
+    let inside = |a: usize, len: usize, cells: usize| {
+        let lo = pad.saturating_sub(a).div_ceil(s).min(cells);
+        let hi = (pad + len).saturating_sub(a).div_ceil(s).clamp(lo, cells);
+        (lo, hi)
+    };
+    let mut planes = staged.chunks_exact_mut(ph * pw);
+    for src in item.chunks_exact(geom.in_h * geom.in_w).take(channels) {
+        for a in 0..qh {
+            let (r0, r1) = inside(a, geom.in_h, ph);
+            for b in 0..qw {
+                let (q0, q1) = inside(b, geom.in_w, pw);
+                let plane = planes.next().expect("scratch sized by conv_scratch_len");
+                let (ring_top, rest) = plane.split_at_mut(r0 * pw);
+                let (body, ring_bottom) = rest.split_at_mut((r1 - r0) * pw);
+                ring_top.fill(T::zero());
+                ring_bottom.fill(T::zero());
+                let x0 = (s * q0 + b).saturating_sub(pad);
+                for (r, row) in (r0..).zip(body.chunks_exact_mut(pw)) {
+                    let src_row = &src[(s * r + a - pad) * geom.in_w..][..geom.in_w];
+                    row[..q0].fill(T::zero());
+                    for (q, d) in row[q0..q1].iter_mut().enumerate() {
+                        *d = src_row[x0 + q * s];
+                    }
+                    row[q1..].fill(T::zero());
+                }
+            }
+        }
     }
-    let (ph, pw) = (geom.in_h + 2 * geom.pad, geom.in_w + 2 * geom.pad);
-    rows.map(|p| {
-        let (c, tap) = (p / geom.taps(), p % geom.taps());
-        (c * ph + tap / geom.k_w) * pw + tap % geom.k_w
-    })
-    .collect()
 }
 
 /// Column-free convolution of every `channels × in_h × in_w` item in `src`
@@ -191,15 +257,16 @@ pub fn conv2d_into<T: Scalar>(
 
     let unit = geom.stride == 1;
     let (ph, pw) = (geom.in_h + 2 * geom.pad, geom.in_w + 2 * geom.pad);
-    // the im2col matrix, the zero-ringed planes, or (unpadded) nothing
+    // the phase planes, the zero-ringed planes, or (unpadded) nothing
     let staged_len = conv_scratch_len(channels, geom).expect("caller sized the scratch");
     let staged = &mut scratch[..staged_len];
     // GEMM width and the pitch of one output row inside it: padded-width
-    // coordinates for unit stride, the plain output otherwise
+    // coordinates for unit stride, phase-plane-width ones otherwise
     let (n, pitch) = if unit {
         ((geom.out_h - 1) * pw + geom.out_w, pw)
     } else {
-        (out_len, geom.out_w)
+        let qw = pw.div_ceil(geom.stride);
+        ((geom.out_h - 1) * qw + geom.out_w, qw)
     };
     if unit {
         staged.fill(T::zero()); // the ring; items only overwrite interiors
@@ -210,7 +277,7 @@ pub fn conv2d_into<T: Scalar>(
         .zip(dst.chunks_exact_mut((m * out_len).max(1)))
     {
         let b: &[T] = if !unit {
-            im2col_into(item, channels, geom, staged);
+            stage_phase_planes(item, channels, geom, staged);
             staged
         } else if geom.pad == 0 {
             item
@@ -316,6 +383,7 @@ pub fn conv2d_im2col<T: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::im2col::im2col_into;
     use crate::init;
 
     #[test]
@@ -424,7 +492,8 @@ mod tests {
     fn column_free_kernel_is_bitwise_im2col_gemm() {
         let mut rng = init::rng(7);
         // (cin, cout, h, w, k, stride, pad): unpadded in place, padded
-        // ring, wide ring, strided fallback, 1x1, full window, ragged tiles
+        // ring, wide ring, phase planes, 1x1, full window, ragged tiles,
+        // a stride wider than the kernel, an odd padded extent
         for &(cin, cout, h, w, k, s, p) in &[
             (1usize, 1usize, 5usize, 5usize, 2usize, 1usize, 0usize),
             (3, 4, 6, 9, 3, 1, 1),
@@ -434,6 +503,8 @@ mod tests {
             (3, 2, 4, 4, 4, 1, 0),
             (1, 13, 3, 21, 3, 1, 1),
             (2, 2, 8, 8, 2, 3, 0),
+            (3, 2, 7, 11, 3, 4, 2),
+            (2, 3, 9, 8, 5, 2, 2),
         ] {
             let geom = ConvGeometry::new(h, w, k, k, s, p).unwrap();
             let input = init::uniform(Shape4::new(2, cin, h, w), -1.0, 1.0, &mut rng);
@@ -472,11 +543,10 @@ mod tests {
         let g = |s, p| ConvGeometry::new(6, 8, 3, 3, s, p).unwrap();
         assert_eq!(conv_scratch_len(4, &g(1, 0)), Some(0));
         assert_eq!(conv_scratch_len(4, &g(1, 1)), Some(4 * 8 * 10));
-        let strided = g(2, 1);
-        assert_eq!(
-            conv_scratch_len(4, &strided),
-            Some(4 * 9 * strided.out_len())
-        );
+        // stride 2 over the 8×10 padded planes: 2×2 phases of 4×5 each
+        assert_eq!(conv_scratch_len(4, &g(2, 1)), Some(4 * 4 * 4 * 5));
+        // stride 4 > k = 3: only the 3×3 phases a tap reads, of 2×3 each
+        assert_eq!(conv_scratch_len(4, &g(4, 1)), Some(4 * 9 * 2 * 3));
         assert_eq!(conv_scratch_len(usize::MAX, &g(1, 1)), None);
     }
 

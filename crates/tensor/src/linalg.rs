@@ -5,9 +5,9 @@
 //! output, where row `p` of the right-hand matrix is the `n`-wide window of
 //! a flat buffer starting at `row(p)`. With `row(p) = p·n` that is the
 //! ordinary row-major product ([`matmul_into`]: fully connected layers,
-//! training, the strided-convolution fallback); with the tap offsets of a
-//! padded plane set it is a convolution whose column matrix is never
-//! materialized ([`crate::conv::conv2d_into`]).
+//! training); with the tap offsets of a padded or phase-split plane set it
+//! is a convolution whose column matrix is never materialized
+//! ([`crate::conv::conv2d_into`]).
 //!
 //! Each `MR × NR` output tile is accumulated in fixed-size arrays that LLVM
 //! keeps in vector registers (safe code only, no intrinsics). Every output

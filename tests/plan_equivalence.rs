@@ -4,13 +4,17 @@
 //! quantized layerwise loop — across the compilable model zoo, plus a
 //! proptest that anything `mlcnn-check` accepts compiles to a plan that
 //! agrees with the trainable network. The kernel pins underneath live here
-//! too, where the tier-1 command sees them: the column-free convolution and
-//! the tiled GEMM against the scalar loops they replaced, bit for bit.
+//! too, where the tier-1 command sees them: the column-free convolution,
+//! the fused conv-pool step and the tiled GEMM against the scalar loops
+//! they replaced, bit for bit.
 
 use mlcnn::check::OpView;
+use mlcnn::core::fused::FusedGeometry;
 use mlcnn::core::quantized::{forward_quantized, quantize_network_weights};
 use mlcnn::core::reorder::reorder_activation_pool;
-use mlcnn::core::{EvalPlan, ExecutionPlan, FusedNetwork, PlanOptions, Workspace, WorkspacePool};
+use mlcnn::core::{
+    EvalPlan, ExecutionPlan, FusedConvPool, FusedNetwork, PlanOptions, Workspace, WorkspacePool,
+};
 use mlcnn::nn::spec::build_network;
 use mlcnn::nn::{zoo, LayerSpec};
 use mlcnn::quant::Precision;
@@ -18,7 +22,7 @@ use mlcnn::serve::find_model;
 use mlcnn::tensor::conv::{conv2d_direct, conv2d_into, conv_scratch_len, conv_tap_offsets};
 use mlcnn::tensor::im2col::im2col_into;
 use mlcnn::tensor::linalg::matmul_into;
-use mlcnn::tensor::{init, ConvGeometry, Shape4, Tensor};
+use mlcnn::tensor::{init, ConvGeometry, Scalar, Shape4, Tensor};
 use proptest::prelude::*;
 
 /// Every sequential (plan-compilable) model the zoo offers, in both the
@@ -164,6 +168,9 @@ fn steady_state_forward_does_not_grow_the_workspace() {
     let x = batch_input(input, 4, 19);
     let mut ws = Workspace::for_plan(&plan, 4);
     let cap = ws.buffer_capacity();
+    // the fused steps' planes live in the counted arena, not beside it
+    assert_eq!(plan.fused_op_count(), 2);
+    assert_eq!(cap * std::mem::size_of::<f32>(), plan.arena_bytes(4));
     let mut out = Tensor::zeros(plan.batched_output_shape(4));
     for _ in 0..5 {
         plan.forward_into(&x, &mut ws, &mut out).unwrap();
@@ -378,10 +385,11 @@ proptest! {
     /// The column-free kernel against the path it replaced — im2col, the
     /// scalar ikj GEMM, then a bias pass — bit for bit, over channel counts
     /// that leave ragged tile rows, kernels up to 5×5, rings up to 2,
-    /// strides up to 3 (the im2col fallback) and non-square inputs whose
+    /// strides up to 3 (the phase planes) and non-square inputs whose
     /// padded-width rows end in ragged tiles. A read past a window's end
     /// would panic. The seven-loop `conv2d_direct` cross-checks the
-    /// values, since strided convs share `im2col_into` with the oracle.
+    /// values, since the oracle shares `im2col_into` with the backward
+    /// pass.
     #[test]
     fn column_free_conv_is_bitwise_im2col_then_ikj(
         seed in 0u64..1_000_000,
@@ -426,6 +434,108 @@ proptest! {
         let direct = conv2d_direct(&input, &weight, Some(&bias), stride, pad).unwrap();
         let got = Tensor::from_vec(direct.shape(), got).unwrap();
         prop_assert!(got.approx_eq(&direct, 1e-4), "{:?}", geom);
+    }
+}
+
+/// Algorithm 1 one element at a time, in the order the fused step sums:
+/// each block sum over the half additions of the chosen LAR orientation,
+/// then `Σ_(c,i,j)` ascending from zero, then `×1/p²`, `+bias` and ReLU.
+fn fused_scalar(
+    f: &FusedConvPool<f32>,
+    item: &[f32],
+    geom: &FusedGeometry,
+    row_based: bool,
+) -> Vec<f32> {
+    let (p, s, pad) = (f.pool(), f.conv_stride(), geom.pad);
+    let w = f.weight();
+    let (cout, cin, k) = (w.shape().n, w.shape().c, geom.k);
+    let px = |c: usize, y: usize, x: usize| -> f32 {
+        let (y, x) = (y.wrapping_sub(pad), x.wrapping_sub(pad));
+        if y < geom.in_h && x < geom.in_w {
+            item[(c * geom.in_h + y) * geom.in_w + x]
+        } else {
+            0.0
+        }
+    };
+    let block_sum = |c: usize, a: usize, b: usize| -> f32 {
+        let half = |outer: usize| -> f32 {
+            let at = |inner: usize| {
+                if row_based {
+                    px(c, a + outer * s, b + inner * s)
+                } else {
+                    px(c, a + inner * s, b + outer * s)
+                }
+            };
+            (1..p).fold(at(0), |acc, inner| acc + at(inner))
+        };
+        (1..p).fold(half(0), |acc, outer| acc + half(outer))
+    };
+    let inv_area = 1.0 / ((p * p) as f32);
+    let mut out = Vec::with_capacity(cout * geom.out_h * geom.out_w);
+    for to in 0..cout {
+        for x in 0..geom.out_h {
+            for y in 0..geom.out_w {
+                let mut acc = 0.0_f32;
+                for c in 0..cin {
+                    for i in 0..k {
+                        for j in 0..k {
+                            acc += w.at(to, c, i, j) * block_sum(c, p * x * s + i, p * y * s + j);
+                        }
+                    }
+                }
+                let v = acc * inv_area + f.bias()[to];
+                out.push(if f.relu() { v.relu() } else { v });
+            }
+        }
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The fused conv-pool step — row-slice block sums, the `G`-conv on the
+    /// column-free GEMM over phase planes, one epilogue pass — against
+    /// Algorithm 1 evaluated one element at a time, bit for bit, over conv
+    /// strides up to 3, pools up to 4, kernels up to 5×5, rings up to 2,
+    /// both LAR orientations and non-square inputs. The scratch starts
+    /// NaN-poisoned, so any element read before it is written shows.
+    #[test]
+    fn fused_step_is_bitwise_the_scalar_algorithm(
+        seed in 0u64..1_000_000,
+        c_in in 1usize..=4,
+        out_ch in 1usize..=5,
+        k in 1usize..=5,
+        stride in 1usize..=3,
+        pool in 1usize..=4,
+        pad in 0usize..=2,
+        grow_h in 0usize..=6,
+        grow_w in 0usize..=9,
+        row_based in any::<bool>(),
+        relu in any::<bool>(),
+    ) {
+        // the smallest input with one pooled output; h and w vary apart
+        let smallest = (k + (pool - 1) * stride).saturating_sub(2 * pad).max(1);
+        let (h, w) = (smallest + grow_h, smallest + grow_w);
+        let mut rng = init::rng(seed);
+        let input = init::uniform(Shape4::new(1, c_in, h, w), -1.0, 1.0, &mut rng);
+        let weight = init::uniform(Shape4::new(out_ch, c_in, k, k), -1.0, 1.0, &mut rng);
+        let bias = init::uniform(Shape4::new(1, 1, 1, out_ch), -1.0, 1.0, &mut rng).into_vec();
+        let f = FusedConvPool::new(weight, bias, stride, pad, pool)
+            .unwrap()
+            .with_relu(relu)
+            .with_row_based_lar(row_based);
+        let geom = f.geometry(input.shape()).unwrap();
+        let gconv = geom.block_sum_conv().unwrap();
+        let taps = conv_tap_offsets(c_in, &gconv);
+        let mut scratch = vec![f32::NAN; geom.scratch_len(c_in).unwrap()];
+        let mut got = vec![f32::NAN; out_ch * geom.out_h * geom.out_w];
+        f.forward_item_into(input.as_slice(), &geom, &gconv, &taps, &mut got, &mut scratch);
+
+        let want = fused_scalar(&f, input.as_slice(), &geom, row_based);
+        prop_assert_eq!(bits(&got), bits(&want), "{:?}", geom);
+        let batch = f.forward(&input).unwrap();
+        prop_assert_eq!(bits(batch.as_slice()), bits(&want), "forward {:?}", geom);
     }
 }
 

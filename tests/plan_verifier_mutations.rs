@@ -99,6 +99,23 @@ fn conv_scratch_one_element_off_is_killed_by_p004() {
 }
 
 #[test]
+fn fused_scratch_one_element_off_is_killed_by_p004() {
+    // lenet5-reordered's widest scratch is its first fused step over the
+    // unpadded 3×32×32 input: a 31×32 half-addition plane, three 31×31
+    // block-sum planes, and the stride-2 G-conv's 2×2 phase planes of 16×16
+    let clean = zoo_view("lenet5-reordered", Precision::Int8);
+    assert_eq!(
+        clean.conv_scratch_len,
+        31 * 32 + 3 * 31 * 31 + 3 * 4 * 16 * 16
+    );
+    for (delta, what) in [(-1isize, "one short"), (1, "one long")] {
+        let mut view = clean.clone();
+        view.conv_scratch_len = view.conv_scratch_len.wrapping_add_signed(delta);
+        assert_killed(&view, Code::PlanConvScratchMismatch, what);
+    }
+}
+
+#[test]
 fn broken_shape_link_is_killed_by_p001() {
     let mut view = zoo_view("lenet5", Precision::Fp32);
     let mid = view.steps.len() / 2;
